@@ -189,44 +189,35 @@ class BenchRecord:
     reps: int
 
 
-BENCH_OPTIMIZERS = ("sgd", "srgd", "srcd-u", "srcd-gs", "srcd-block-gs", "srcd-u-expm")
+BENCH_MIN_D = 4
+BENCH_MIN_REPS = 30
+BENCH_MIN_WARMUP = 5
 
 
-def _bench_state(optimizer: str, params: rnn.RnnParams, seed: int) -> optim.OptimizerState:
-    schedule = optim.StepSchedule("fixed", 2e-4)
-    rules = {
-        "srcd-u": optim.SelectionRule("uniform"),
-        "srcd-u-expm": optim.SelectionRule("uniform"),
-        "srcd-gs": optim.SelectionRule("gauss_southwell"),
-        "srcd-block-gs": optim.SelectionRule("block_gs"),
-    }
-    return optim.OptimizerState.for_rnn(
-        params, schedule, rule=rules.get(optimizer), seed=seed,
-        reorth_every=None)
+def _srcd_u_expm_step(state: optim.OptimizerState, grads) -> optim.OptimizerState:
+    # single-coordinate update routed through the dense exponential,
+    # the O(d^3) path the Givens shortcut replaces
+    alpha = optim.schedule_step(state.schedule, state.k)
+    for name, arr in state.x.items():
+        arr -= alpha * grads.x_blocks()[name]
+    i = optim.select_uniform(state.rng, manifold.num_coords(state.w.shape[0]))
+    theta = manifold.partial_derivative(state.w, grads.w, i)
+    eta = manifold.basis_tangent(state.w, i)
+    state.w[...] = manifold.exp_map(state.w, -alpha * theta * eta.value)
+    state.k += 1
+    return state
 
 
-def _step_fn(optimizer: str):
-    if optimizer == "sgd":
-        return optim.sgd_step
-    if optimizer == "srgd":
-        return optim.srgd_step
-    if optimizer == "srcd-u-expm":
-        # single-coordinate update routed through the dense exponential,
-        # the O(d^3) path the Givens shortcut replaces
-        def step(state, grads):
-            alpha = optim.schedule_step(state.schedule, state.k)
-            for name, arr in state.x.items():
-                arr -= alpha * grads.x_blocks()[name]
-            i = optim.select_uniform(state.rng, manifold.num_coords(state.w.shape[0]))
-            theta = manifold.partial_derivative(state.w, grads.w, i)
-            eta = manifold.basis_tangent(state.w, i)
-            state.w[...] = manifold.exp_map(state.w, -alpha * theta * eta.value)
-            state.k += 1
-            return state
-        return step
-    if optimizer in ("srcd-u", "srcd-gs", "srcd-block-gs"):
-        return optim.srcd_step
-    raise ValueError(f"unknown optimizer {optimizer!r}")
+# the training optimizers plus two bench-only baselines
+_BENCHED: dict[str, optim.Optimizer] = {
+    # Euclidean step, W leaves O(d), so it is never trained: no W geometry
+    "sgd": optim.Optimizer(None, optim.sgd_step, lambda d: 0),
+    **optim.OPTIMIZERS,
+    # one partial 4d, then exp_map 4d^3 with its Pade-13 expm 26d^3
+    "srcd-u-expm": optim.Optimizer("uniform", _srcd_u_expm_step,
+                                   lambda d: 4 * d + 30 * d**3),
+}
+BENCH_OPTIMIZERS = tuple(_BENCHED)
 
 
 def bench_update(
@@ -250,19 +241,26 @@ def bench_update(
     thread count and scipy's as `manifold`'s thread policy sets it (the
     counts in force go to run_meta.json).  Setup and allocation
     stay outside the timed region, and the same W is reused across reps
-    (fresh-W-per-rep would time initialization, not the update).
+    (fresh-W-per-rep would time initialization, not the update).  The
+    flops field is the optimizer's analytic W-path count, not measured.
     """
-    if d < 4:
-        raise ValueError("bench needs d >= 4")
+    entry = _BENCHED.get(optimizer)
+    if entry is None:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if d < BENCH_MIN_D:
+        raise ValueError(f"bench needs d >= {BENCH_MIN_D}")
     if phase not in ("update", "backward_update"):
         raise ValueError(f"unknown phase {phase!r}")
-    if reps < 30 or warmup < 5:
-        raise ValueError("need reps >= 30 and warmup >= 5")
+    if reps < BENCH_MIN_REPS or warmup < BENCH_MIN_WARMUP:
+        raise ValueError(f"need reps >= {BENCH_MIN_REPS} "
+                         f"and warmup >= {BENCH_MIN_WARMUP}")
     rng = np.random.default_rng(seed)
     task = copytask.CopyTaskConfig(alphabet=9, copy_len=5, lag=100, batch=batch)
     params = rnn.init_params(d, task.n_input_classes, task.n_output_classes, seed)
-    state = _bench_state(optimizer, params, seed)
-    step = _step_fn(optimizer)
+    state = optim.OptimizerState.for_rnn(
+        params, optim.StepSchedule("fixed", 2e-4), rule=entry.rule(), seed=seed,
+        reorth_every=None)
+    step = entry.step
 
     if phase == "update":
         grads = optim.GradPack(
@@ -288,20 +286,10 @@ def bench_update(
             timed_once()
         times = np.array([timed_once() for _ in range(reps)])
 
-    # analytic flop estimate for one update (W path only)
-    manifold.flops.reset()
-    if phase == "update":
-        step(state, grads)
-    else:
-        _, grads2 = rnn.backward(params, x1h, data.targets, data.mask)
-        step(state, grads2)
-    counted = manifold.flops.total()
-    manifold.flops.reset()
-
     q25, q50, q75 = np.percentile(times, [25, 50, 75])
     return BenchRecord(d=d, optimizer=optimizer, phase=phase,
                        median_s=float(q50), iqr_s=float(q75 - q25),
-                       mean_s=float(times.mean()), flops=int(counted),
+                       mean_s=float(times.mean()), flops=entry.w_flops(d),
                        reps=reps)
 
 

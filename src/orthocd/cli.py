@@ -59,7 +59,7 @@ class ExperimentConfig:
     d: int = 64
     mask: str = "full"          # full | recall
     # [optimizer]
-    optimizer: str = "srcd-gs"  # sgd | srgd | srcd-u | srcd-gs | srcd-block-gs
+    optimizer: str = "srcd-gs"  # a name in optim.OPTIMIZERS
     block_fraction: float = 0.005
     disjoint: bool = True
     reorth_every: int = 1000
@@ -73,7 +73,6 @@ class ExperimentConfig:
     iterations: int = 500
     seed: int = 0
     out: str = ""
-    log_every: int = 1
     # [convergence]
     conv_d: int = 16
     noise_std: float = 0.1
@@ -91,7 +90,7 @@ _SECTIONS = {
     "task": ("preset", "alphabet", "copy_len", "lag", "batch", "d", "mask"),
     "optimizer": ("optimizer", "block_fraction", "disjoint", "reorth_every"),
     "schedule": ("schedule", "alpha0", "power", "offset", "robbins_monro"),
-    "run": ("iterations", "seed", "out", "log_every"),
+    "run": ("iterations", "seed", "out"),
     "convergence": ("conv_d", "noise_std", "conv_seeds", "x_dim"),
     "bench": ("bench_dims", "bench_phase_d", "bench_reps", "bench_warmup",
               "bench_batch"),
@@ -105,8 +104,6 @@ _PRESETS = {
     "desk": {"alphabet": 9, "copy_len": 5, "lag": 100, "batch": 32, "d": 64},
     "custom": {},
 }
-
-OPTIMIZERS = ("sgd", "srgd", "srcd-u", "srcd-gs", "srcd-block-gs")
 
 
 def _coerce(key: str, raw: str):
@@ -165,34 +162,40 @@ def parse_config(path: str | None = None,
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.optimizer not in OPTIMIZERS:
+    if cfg.optimizer not in optim.OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.mask not in ("full", "recall"):
         raise ConfigError(f"unknown mask mode {cfg.mask!r}")
     if cfg.schedule not in ("fixed", "polynomial"):
         raise ConfigError(f"unknown schedule {cfg.schedule!r}")
-    if cfg.iterations < 0 or cfg.log_every < 1:
-        raise ConfigError("iterations must be >= 0 and log_every >= 1")
+    if cfg.iterations < 0:
+        raise ConfigError("iterations must be >= 0")
     if cfg.d < 2 or cfg.d % 2 != 0:
         raise ConfigError(f"d must be even and >= 2, got {cfg.d}")
     if cfg.conv_d < 2:
         raise ConfigError("conv_d must be >= 2")
-    for key in ("alphabet", "copy_len", "batch", "conv_seeds", "x_dim"):
+    for key in ("alphabet", "copy_len", "batch", "conv_seeds", "x_dim",
+                "bench_batch"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     if cfg.lag < 0 or cfg.noise_std < 0:
         raise ConfigError("lag and noise_std must be >= 0")
     try:
         _schedule_from(cfg)
-        if cfg.optimizer == "srcd-block-gs":
-            optim.SelectionRule("block_gs", block_fraction=cfg.block_fraction,
-                                disjoint=cfg.disjoint)
+        optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction, cfg.disjoint)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        [int(tok) for tok in cfg.bench_dims.split(",") if tok.strip()]
+        dims = _bench_dims(cfg)
     except ValueError as exc:
         raise ConfigError(f"bad bench_dims: {cfg.bench_dims!r}") from exc
+    if min([*dims, cfg.bench_phase_d]) < analysis.BENCH_MIN_D:
+        raise ConfigError(
+            f"bench_dims and bench_phase_d must be >= {analysis.BENCH_MIN_D}")
+    if cfg.bench_reps < analysis.BENCH_MIN_REPS \
+            or cfg.bench_warmup < analysis.BENCH_MIN_WARMUP:
+        raise ConfigError(f"bench_reps must be >= {analysis.BENCH_MIN_REPS} "
+                          f"and bench_warmup >= {analysis.BENCH_MIN_WARMUP}")
 
 
 def _schedule_from(cfg: ExperimentConfig) -> optim.StepSchedule:
@@ -201,20 +204,8 @@ def _schedule_from(cfg: ExperimentConfig) -> optim.StepSchedule:
                               robbins_monro=cfg.robbins_monro)
 
 
-def _rule_from(cfg: ExperimentConfig) -> optim.SelectionRule | None:
-    return {
-        "sgd": None,
-        "srgd": None,
-        "srcd-u": optim.SelectionRule("uniform"),
-        "srcd-gs": optim.SelectionRule("gauss_southwell"),
-        "srcd-block-gs": optim.SelectionRule(
-            "block_gs", block_fraction=cfg.block_fraction, disjoint=cfg.disjoint),
-    }[cfg.optimizer]
-
-
-def _step_fn(optimizer: str):
-    return {"sgd": optim.sgd_step, "srgd": optim.srgd_step}.get(
-        optimizer, optim.srcd_step)
+def _bench_dims(cfg: ExperimentConfig) -> list[int]:
+    return [int(tok) for tok in cfg.bench_dims.split(",") if tok.strip()]
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -354,11 +345,10 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     params = rnn.init_params(cfg.d, task.n_input_classes, task.n_output_classes,
                              seed=cfg.seed)
     schedule = _schedule_from(cfg)
-    rule = _rule_from(cfg)
+    opt = optim.OPTIMIZERS[cfg.optimizer]
     state = optim.OptimizerState.for_rnn(
-        params, schedule, rule=rule, seed=[cfg.seed, 2],
-        reorth_every=cfg.reorth_every if cfg.optimizer == "srgd" else None)
-    step = _step_fn(cfg.optimizer)
+        params, schedule, rule=opt.rule(cfg.block_fraction, cfg.disjoint),
+        seed=[cfg.seed, 2], reorth_every=cfg.reorth_every)
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
     losses = np.empty(cfg.iterations)
@@ -376,7 +366,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         losses[k] = value
         gnormsq[k] = float(v @ v) + sum(
             float(np.sum(g * g)) for g in grads.x_blocks().values())
-        step(state, grads)
+        opt.step(state, grads)
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
@@ -512,7 +502,9 @@ def cmd_convergence(cfg: ExperimentConfig, rundir: RunDir) -> None:
 
 
 def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
-    dims = [int(tok) for tok in cfg.bench_dims.split(",") if tok.strip()]
+    dims = _bench_dims(cfg)
+    scaling = ("srcd-u", "srgd")  # update cells across bench_dims
+    phased = ("sgd", "srgd", "srcd-gs", "srcd-u")  # both phases at bench_phase_d
     cells: dict[tuple, analysis.BenchRecord] = {}
 
     def _run(kind: str, d: int, phase: str) -> None:
@@ -523,9 +515,9 @@ def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
                 phase=phase, batch=cfg.bench_batch, seed=cfg.seed)
 
     for d in dims:
-        for kind in ("srcd-u", "srgd"):
+        for kind in scaling:
             _run(kind, d, "update")
-    for kind in ("sgd", "srgd", "srcd-gs", "srcd-u"):
+    for kind in phased:
         for phase in ("update", "backward_update"):
             _run(kind, cfg.bench_phase_d, phase)
     records = list(cells.values())
@@ -536,11 +528,11 @@ def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
           r.reps) for r in records))
     slopes = {}
     if len(dims) >= 2:
-        for kind in ("srcd-u", "srgd"):
+        for kind in scaling:
             med = [cells[(kind, d, "update")].median_s for d in dims]
             slopes[kind] = analysis.loglog_slope(dims, med)
     ratios = {}
-    for kind in ("sgd", "srgd", "srcd-gs", "srcd-u"):
+    for kind in phased:
         upd = cells.get((kind, cfg.bench_phase_d, "update"))
         bwd = cells.get((kind, cfg.bench_phase_d, "backward_update"))
         if upd and bwd:

@@ -23,7 +23,9 @@ columns (about 6d flops), and is exactly `exp_map` restricted to one
 coordinate; the equivalence is part of the test suite.
 
 All computations are in float64.  Functions are pure unless an explicit
-`out=` argument requests in-place mutation.
+`out=` argument requests in-place mutation; they keep no counters (the
+analytic flop count of each optimizer's W update is in
+`optim.OPTIMIZERS`).
 
 Thread policy.  numpy and scipy wheels each bundle an OpenBLAS copy with
 its own thread pool.  The only scipy call in this package is the
@@ -66,7 +68,6 @@ __all__ = [
     "coord_index",
     "coord_pair",
     "exp_map",
-    "flops",
     "givens_update",
     "matrix_expm",
     "metric",
@@ -86,30 +87,6 @@ ORTHOGONALITY_TOL = 1e-8
 DET_TOL = 1e-6
 TANGENCY_TOL = 1e-12
 EXPM_THREADED_MIN_D = 900  # thread policy: see the module docstring
-
-
-class FlopCounter:
-    """Cheap per-operation flop bookkeeping for the cost-model tests.
-
-    Counts are analytic estimates (e.g. 6d for a Givens update, matmul
-    as 2d^3), not hardware counters.  Always on; the overhead is one
-    dict update per geometry call.
-    """
-
-    def __init__(self) -> None:
-        self.by_op: dict[str, int] = {}
-
-    def add(self, op: str, n: int) -> None:
-        self.by_op[op] = self.by_op.get(op, 0) + int(n)
-
-    def total(self) -> int:
-        return sum(self.by_op.values())
-
-    def reset(self) -> None:
-        self.by_op.clear()
-
-
-flops = FlopCounter()
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +276,8 @@ def tangent_project(w: np.ndarray, m: np.ndarray) -> TangentVector:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, M is {m.shape}")
-    d = w.shape[0]
     a = w.T @ m
     value = w @ ((a - a.T) / 2.0)
-    flops.add("tangent_project", 4 * d**3 + 2 * d**2)
     return TangentVector(w, value)
 
 
@@ -319,7 +294,6 @@ def partial_derivative(w: np.ndarray, g: np.ndarray, i: int) -> float:
     j, l = coord_pair(i, d)
     j0, l0 = j - 1, l - 1
     v = (w[:, j0] @ g[:, l0] - w[:, l0] @ g[:, j0]) / _SQRT2
-    flops.add("partial_derivative", 4 * d)
     return float(v)
 
 
@@ -347,7 +321,6 @@ def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     a = w.T @ g
     rows, cols = _triu_indices(d)
     v = (a[rows, cols] - a[cols, rows]) / _SQRT2
-    flops.add("all_partials", 2 * d**3 + d**2)
     return v
 
 
@@ -384,7 +357,6 @@ def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"input not skew-symmetric: ||A + A^T||_F = {defect:.3e}")
     d = a.shape[0]
     s = (a - a.T) / 2.0  # exact for skew input, repairs rounding otherwise
-    flops.add("matrix_expm", 26 * d**3)  # Pade-13 estimate: ~13 matmul equivalents
     _apply_thread_policy(d >= EXPM_THREADED_MIN_D)
     return scipy.linalg.expm(s)
 
@@ -403,7 +375,6 @@ def exp_map(w: np.ndarray, xi: TangentVector | np.ndarray, tol: float = 1e-10) -
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, xi is {xi.shape}")
-    d = w.shape[0]
     omega = w.T @ xi
     defect = float(np.linalg.norm(omega + omega.T))
     scale = max(1.0, float(np.linalg.norm(xi)))
@@ -411,7 +382,6 @@ def exp_map(w: np.ndarray, xi: TangentVector | np.ndarray, tol: float = 1e-10) -
         raise ValueError(
             f"xi is not tangent at W: ||W^T xi + (W^T xi)^T||_F = {defect:.3e}"
         )
-    flops.add("exp_map", 4 * d**3)  # W^T xi and the final product
     return w @ matrix_expm((omega - omega.T) / 2.0)
 
 
@@ -446,7 +416,6 @@ def givens_update(
     # [jj, jl; lj, ll] = [cos, sin; -sin, cos]
     out[:, j0] = c * wj - s * wl
     out[:, l0] = s * wj + c * wl
-    flops.add("givens_update", 6 * d)
     return out
 
 

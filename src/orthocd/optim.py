@@ -14,6 +14,12 @@ Coordinate choice is uniform i.i.d., Gauss-Southwell (largest
 pairs.  A plain Euclidean `sgd_step` (no orthogonality enforcement) is
 included as the unconstrained baseline.
 
+OPTIMIZERS is the one table of the training optimizers: each name maps
+to its selection-rule kind, its step function, and the analytic flop
+count of its W update as a function of d (the cost model the bench
+reports).  `sgd` is not in it: its W leaves O(d), so it is a bench-only
+baseline (see `analysis`).
+
 States mutate their parameter arrays in place and are single-owner.
 All steps raise NumericError on non-finite gradients rather than let
 NaNs propagate into the parameters.
@@ -22,6 +28,7 @@ NaNs propagate into the parameters.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,8 @@ from . import manifold
 __all__ = [
     "GradPack",
     "NumericError",
+    "OPTIMIZERS",
+    "Optimizer",
     "OptimizerState",
     "SelectionRule",
     "StepSchedule",
@@ -186,10 +195,8 @@ def srgd_step(state: OptimizerState, grads) -> OptimizerState:
     _check_finite(grads)
     _update_x(state, grads, alpha)
     w = state.w
-    d = w.shape[0]
     a = w.T @ grads.w
     skew = (a - a.T) / 2.0
-    manifold.flops.add("srgd_w_update", 4 * d**3)
     w[...] = w @ manifold.matrix_expm(-alpha * skew)
     state.k += 1
     if state.reorth_every and state.k % state.reorth_every == 0:
@@ -234,6 +241,48 @@ def srcd_step(state: OptimizerState, grads) -> OptimizerState:
         state.last_coords = tuple(coords)
     state.k += 1
     return state
+
+
+@dataclass(frozen=True)
+class Optimizer:
+    """One optimizer: the SelectionRule kind its step reads (None for a
+    full step), the step function, and `w_flops(d)`, the analytic flop
+    count of one W update at width d.  The counts are estimates (a
+    matmul is 2d^3), not hardware counters."""
+
+    rule_kind: str | None
+    step: Callable[[OptimizerState, object], OptimizerState]
+    w_flops: Callable[[int], int]
+
+    def rule(self, block_fraction: float = SelectionRule.block_fraction,
+             disjoint: bool = SelectionRule.disjoint) -> SelectionRule | None:
+        """The selection rule; only block_gs reads the block keys."""
+        if self.rule_kind is None:
+            return None
+        if self.rule_kind == "block_gs":
+            return SelectionRule("block_gs", block_fraction, disjoint)
+        return SelectionRule(self.rule_kind)
+
+
+def _block_gs_flops(d: int) -> int:
+    # all partials, then one rotation per pick at the default block
+    # fraction; greedy disjoint picks on the complete graph of columns
+    # stop only at min(block size, d // 2)
+    picks = min(SelectionRule("block_gs").block_size(manifold.num_coords(d)),
+                d // 2)
+    return 2 * d**3 + d**2 + 6 * d * picks
+
+
+# W-path costs: partial derivative 4d (two column dot products), Givens
+# rotation 6d, all_partials 2d^3 + d^2 (W^T G, then the triangle),
+# dense step 4d^3 (W^T G, W expm(.)) plus Pade-13 expm ~13 matmuls 26d^3
+OPTIMIZERS: dict[str, Optimizer] = {
+    "srgd": Optimizer(None, srgd_step, lambda d: 30 * d**3),
+    "srcd-u": Optimizer("uniform", srcd_step, lambda d: 10 * d),
+    "srcd-gs": Optimizer("gauss_southwell", srcd_step,
+                         lambda d: 2 * d**3 + d**2 + 6 * d),
+    "srcd-block-gs": Optimizer("block_gs", srcd_step, _block_gs_flops),
+}
 
 
 # ---------------------------------------------------------------------------

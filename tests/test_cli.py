@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from orthocd import blas, cli, copytask, rnn
+from orthocd import blas, cli, copytask, manifold, optim, rnn
 
 
 def run_main(args, tmp_path, monkeypatch):
@@ -63,14 +63,21 @@ def test_config_error_cases(tmp_path):
         cli.parse_config(str(bad_value))
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"preset": "galaxy"})
-    with pytest.raises(cli.ConfigError):
-        cli.parse_config(overrides={"optimizer": "adam"})
+    for name in ("adam", "sgd"):  # sgd is a bench-only baseline
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(overrides={"optimizer": name})
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"d": "7"})  # odd width cannot host 2x2 blocks
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"mask": "everything"})
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"robbins_monro": "true"})  # fixed schedule
+    # every value bench_update refuses is refused here, before a run dir
+    for key, raw in (("bench_reps", "5"), ("bench_warmup", "4"),
+                     ("bench_dims", "2,64"), ("bench_phase_d", "3"),
+                     ("bench_batch", "0")):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(overrides={key: raw})
 
 
 def test_bool_coercion():
@@ -116,6 +123,28 @@ def test_train_writes_artifacts(tmp_path, monkeypatch):
     # the resolved config written back parses to the same settings
     cfg = cli.parse_config(str(rundir / "config.ini"))
     assert cfg.d == 8 and cfg.seed == 3 and cfg.iterations == 6
+
+
+@pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
+def test_train_every_optimizer(optimizer, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_main(["train", *TINY, "--optimizer", optimizer, "--out", str(out)],
+                    tmp_path, monkeypatch) == 0
+    rows = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
+    assert rows.size == 6
+    for col in rows.dtype.names:
+        assert np.all(np.isfinite(rows[col]))
+    params, _ = rnn.load_checkpoint(out / "checkpoint.bin")
+    assert manifold.orthogonality_defect(params.w) <= 1e-10
+
+
+def test_block_keys_reach_only_block_gs(tmp_path, monkeypatch):
+    bad_block = [*TINY, "--iterations", "1", "--block_fraction", "2"]
+    assert run_main(["train", *bad_block, "--optimizer", "srcd-u"],
+                    tmp_path, monkeypatch) == 0
+    assert run_main(["train", *bad_block, "--optimizer", "srcd-block-gs",
+                     "--out", str(tmp_path / "refused")], tmp_path, monkeypatch) == 1
+    assert not (tmp_path / "refused").exists()
 
 
 def test_run_meta_records_openblas_threads(tmp_path, monkeypatch):

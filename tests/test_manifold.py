@@ -395,20 +395,3 @@ def test_random_orthogonal_is_haar_on_both_components():
         assert mf.orthogonality_defect(w) <= 1e-13
         dets.add(round(float(np.linalg.det(w))))
     assert dets == {-1, 1}  # O(d), not just SO(d)
-
-
-def test_flop_counter_charges():
-    d = 16
-    w = random_w(d, seed=31)
-    g = np.random.default_rng(32).standard_normal((d, d))
-    mf.flops.reset()
-    mf.givens_update(w, 1, 0.1)
-    assert mf.flops.by_op["givens_update"] == 6 * d
-    mf.partial_derivative(w, g, 2)
-    assert mf.flops.by_op["partial_derivative"] == 4 * d
-    mf.all_partials(w, g)
-    assert mf.flops.by_op["all_partials"] == 2 * d**3 + d**2
-    total = mf.flops.total()
-    assert total == 6 * d + 4 * d + 2 * d**3 + d**2
-    mf.flops.reset()
-    assert mf.flops.total() == 0
