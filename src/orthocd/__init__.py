@@ -10,6 +10,8 @@ and convergence diagnostics, and a CLI that drives the experiments.
 
 __version__ = "0.1.0"
 
-from . import analysis, cli, copytask, manifold, optim, rnn  # noqa: F401
+# cli is imported on demand (`from orthocd import cli`), so that
+# `python -m orthocd.cli` finds it unloaded and runs it once, as __main__
+from . import analysis, copytask, manifold, optim, rnn  # noqa: F401
 
-__all__ = ["analysis", "cli", "copytask", "manifold", "optim", "rnn", "__version__"]
+__all__ = ["analysis", "copytask", "manifold", "optim", "rnn", "__version__"]

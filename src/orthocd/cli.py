@@ -1,17 +1,22 @@
 """Experiment runner.
 
-Subcommands: train, sparsity, convergence, bench, check.  Every run is
-driven by a flat key = value config (INI sections group related keys;
-key names are globally unique) and any key can be overridden by a
-command-line flag of the same name, e.g. `--alpha0 1e-3`.
+Subcommands: train, sparsity, convergence, bench.  Every run is driven
+by a flat key = value config (INI sections group related keys; key
+names are globally unique) and any key can be overridden by a
+command-line flag of the same name, e.g. `--alpha0 1e-3`.  The
+library's invariants are checked by the test suite (`python3 -m
+pytest`), not by the CLI.
 
 Outputs land in a per-run directory under --out, the ORTHOCD_RUNS
 environment variable, or ./runs, containing the resolved config
-(config.ini), run metadata (run_meta.json, status running/done/failed),
-and the CSVs documented in the README.  A given (config, seed) pair
-reproduces every numeric output bitwise.
+(config.ini), run metadata (run_meta.json, status
+running/done/failed/interrupted), and the CSVs documented in the
+README.  A given (config, seed) pair reproduces every numeric output
+bitwise.
 
-Exit codes: 0 success, 1 config error, 2 numeric failure, 3 I/O error.
+Exit codes: 0 success, 1 config or usage error, 2 numeric failure,
+3 I/O error.  Any other exception propagates after the run is marked
+failed, or interrupted for Ctrl-C, in run_meta.json.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from . import __version__, analysis, blas, copytask, manifold, optim, rnn
 
 __all__ = ["ExperimentConfig", "ConfigError", "main", "parse_config",
            "cmd_train", "cmd_sparsity", "cmd_convergence", "cmd_bench",
-           "cmd_check", "run_training", "run_convergence"]
+           "run_training", "run_convergence"]
 
 
 class ConfigError(ValueError):
@@ -174,13 +179,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"d must be even and >= 2, got {cfg.d}")
     if cfg.conv_d < 2:
         raise ConfigError("conv_d must be >= 2")
-    for key in ("alphabet", "copy_len", "batch", "conv_seeds", "x_dim",
-                "bench_batch"):
+    for key in ("conv_seeds", "x_dim", "bench_batch"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if cfg.lag < 0 or cfg.noise_std < 0:
-        raise ConfigError("lag and noise_std must be >= 0")
+    if cfg.noise_std < 0:
+        raise ConfigError("noise_std must be >= 0")
     try:
+        _task_from(cfg)
         _schedule_from(cfg)
         optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction, cfg.disjoint)
     except ValueError as exc:
@@ -545,242 +550,6 @@ def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
 
 
 # ---------------------------------------------------------------------------
-# invariant check suite
-# ---------------------------------------------------------------------------
-
-def _check_coord_indexing() -> None:
-    for d in (2, 3, 5, 8, 21, 40):
-        n = manifold.num_coords(d)
-        seen = set()
-        for i in range(1, n + 1):
-            j, l = manifold.coord_pair(i, d)
-            assert 1 <= j < l <= d
-            assert manifold.coord_index(j, l, d) == i
-            seen.add((j, l))
-        assert len(seen) == n
-
-
-def _check_basis_orthonormal() -> None:
-    rng = np.random.default_rng(0)
-    w = manifold.random_orthogonal(6, rng)
-    n = manifold.num_coords(6)
-    etas = [manifold.basis_tangent(w, i) for i in range(1, n + 1)]
-    for a in range(n):
-        for b in range(a, n):
-            want = 1.0 if a == b else 0.0
-            assert abs(manifold.metric(etas[a], etas[b]) - want) < 1e-12
-
-
-def _check_projection() -> None:
-    rng = np.random.default_rng(1)
-    w = manifold.random_orthogonal(12, rng)
-    m = rng.standard_normal((12, 12))
-    n_mat = rng.standard_normal((12, 12))
-    p_m = manifold.tangent_project(w, m)
-    p_p_m = manifold.tangent_project(w, p_m.value)
-    assert np.linalg.norm(p_p_m.value - p_m.value) < 1e-12
-    p_n = manifold.tangent_project(w, n_mat)
-    lhs = float(np.vdot(p_m.value, n_mat))
-    rhs = float(np.vdot(m, p_n.value))
-    assert abs(lhs - rhs) < 1e-10
-
-
-def _check_parseval() -> None:
-    rng = np.random.default_rng(2)
-    w = manifold.random_orthogonal(50, rng)
-    g = rng.standard_normal((50, 50))
-    v = manifold.all_partials(w, g)
-    proj = manifold.tangent_project(w, g)
-    assert abs(np.linalg.norm(v) - manifold.norm(proj)) < 1e-10 * manifold.norm(proj)
-
-
-def _check_givens_exp_consistency() -> None:
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        w = manifold.random_orthogonal(25, rng)
-        i = int(rng.integers(1, manifold.num_coords(25) + 1))
-        theta = float(rng.uniform(-np.pi, np.pi))
-        eta = manifold.basis_tangent(w, i)
-        via_exp = manifold.exp_map(w, theta * eta.value)
-        via_givens = manifold.givens_update(w, i, theta)
-        assert np.linalg.norm(via_exp - via_givens) < 1e-12
-
-
-def _check_drift() -> None:
-    rng = np.random.default_rng(4)
-    w = manifold.random_orthogonal(64, rng)
-    n = manifold.num_coords(64)
-    for _ in range(2000):
-        manifold.givens_update(w, int(rng.integers(1, n + 1)),
-                               float(rng.uniform(-1, 1)), out=w)
-    assert manifold.orthogonality_defect(w) < 1e-10
-
-
-def _check_reorthogonalize() -> None:
-    rng = np.random.default_rng(5)
-    q = manifold.random_orthogonal(64, rng)
-    repaired = manifold.reorthogonalize(1.001 * q)
-    assert manifold.orthogonality_defect(repaired) <= 1e-14
-    assert np.linalg.norm(repaired - q) < 1e-3
-
-
-def _check_bptt_fd() -> None:
-    rng = np.random.default_rng(6)
-    params = rnn.init_params(4, 3, 2, seed=0)
-    inputs = rng.standard_normal((2, 8, 3))
-    targets = rng.integers(0, 2, (2, 8))
-    _, grads = rnn.backward(params, inputs, targets)
-    h = 1e-5
-    for _ in range(10):
-        flat = params.w_in
-        idx = (int(rng.integers(flat.shape[0])), int(rng.integers(flat.shape[1])))
-        orig = flat[idx]
-        flat[idx] = orig + h
-        up = rnn.loss(rnn.forward(params, inputs).logits, targets)
-        flat[idx] = orig - h
-        dn = rnn.loss(rnn.forward(params, inputs).logits, targets)
-        flat[idx] = orig
-        fd = (up - dn) / (2 * h)
-        an = grads.w_in[idx]
-        assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
-
-
-def _check_copytask() -> None:
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        cfg = copytask.CopyTaskConfig(
-            alphabet=int(rng.integers(2, 12)), copy_len=int(rng.integers(1, 8)),
-            lag=int(rng.integers(0, 30)), batch=int(rng.integers(1, 8)))
-        data = copytask.generate_batch(cfg, rng)
-        k, lag = cfg.copy_len, cfg.lag
-        assert data.inputs.shape == (cfg.batch, cfg.seq_len)
-        assert np.all(data.inputs[:, :k] < cfg.alphabet)
-        assert np.all(data.inputs[:, k:k + lag] == cfg.blank)
-        assert np.all(data.inputs[:, k + lag] == cfg.start)
-        assert np.all(data.inputs[:, k + lag + 1:] == cfg.blank)
-        assert np.all(data.targets[:, :lag + k] == cfg.blank)
-        assert np.all(data.targets[:, lag + k:] == data.inputs[:, :k])
-    base = copytask.baseline_loss(copytask.PAPER)
-    assert abs(base - 10 * np.log(9) / 1020) < 1e-15
-
-
-def _check_loss_values() -> None:
-    logits = np.zeros((1, 4, 7))
-    targets = np.zeros((1, 4), dtype=int)
-    assert abs(rnn.loss(logits, targets) - np.log(7)) < 1e-12
-    x = np.array([1.0, -3.0, 0.0])
-    b = np.array([-2.0, 1.0, 5.0])
-    out = rnn.modrelu(x, b)
-    assert out[0] == 0.0 and out[1] == -4.0 and out[2] == 0.0
-
-
-def _check_schedules() -> None:
-    try:
-        optim.StepSchedule("polynomial", 1.0, power=0.4, robbins_monro=True)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("power outside (0.5, 1] accepted")
-    sched = optim.StepSchedule("polynomial", 1.0, power=0.75, offset=1.0,
-                               robbins_monro=True)
-    k = np.arange(10**4)
-    alpha = sched.alpha0 / (1 + k / sched.offset) ** sched.power
-    assert alpha.sum() > 10 * (alpha**2).sum()
-
-
-def _check_selection() -> None:
-    assert optim.select_gauss_southwell(np.array([0.1, -5.0, 0.3])) == 2
-    assert optim.select_gauss_southwell(np.array([2.0, -2.0])) == 1
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        d = int(rng.integers(4, 12))
-        v = rng.standard_normal(manifold.num_coords(d))
-        coords = optim.select_block_gs(v, 3, d, disjoint=True)
-        cols = [c for i in coords for c in manifold.coord_pair(i, d)]
-        assert len(set(cols)) == len(cols)
-
-
-def _check_metric_recompute() -> None:
-    alphas = np.full(1000, 0.5)
-    gsq = np.full(1000, 3.0)
-    m = analysis.convergence_metric(alphas, gsq)
-    assert np.all(np.abs(m - 3.0) < 1e-12)
-
-
-def _check_step_equivalence() -> None:
-    rng = np.random.default_rng(9)
-    d = 10
-    params_a = rnn.init_params(d, 3, 2, seed=1)
-    params_b = params_a.copy()
-    grads = rnn.Grads(
-        w_in=rng.standard_normal(params_a.w_in.shape),
-        w=rng.standard_normal((d, d)),
-        w_out=rng.standard_normal(params_a.w_out.shape),
-        b_out=rng.standard_normal(params_a.b_out.shape),
-        b_mod=rng.standard_normal(params_a.b_mod.shape))
-    sched = optim.StepSchedule("fixed", 1e-2)
-    sa = optim.OptimizerState.for_rnn(params_a, sched, seed=0)
-    sb = optim.OptimizerState.for_rnn(
-        params_b, sched, rule=optim.SelectionRule("gauss_southwell"), seed=0)
-    optim.srgd_step(sa, grads)
-    optim.srcd_step(sb, grads)
-    for name in sa.x:
-        assert np.array_equal(sa.x[name], sb.x[name])
-
-
-def _check_checkpoint(tmp: Path) -> None:
-    params = rnn.init_params(8, 5, 4, seed=3)
-    path = tmp / "ck.bin"
-    rnn.save_checkpoint(path, params, seed=3)
-    loaded, seed = rnn.load_checkpoint(path)
-    assert seed == 3
-    for a, b in zip((params.w_in, params.w, params.w_out, params.b_out,
-                     params.b_mod),
-                    (loaded.w_in, loaded.w, loaded.w_out, loaded.b_out,
-                     loaded.b_mod)):
-        assert np.array_equal(a, b)
-
-
-def cmd_check(rundir: RunDir | None = None) -> int:
-    import tempfile
-    checks = [
-        ("coord indexing round-trip", _check_coord_indexing),
-        ("tangent basis orthonormal", _check_basis_orthonormal),
-        ("projection idempotent and self-adjoint", _check_projection),
-        ("Parseval identity", _check_parseval),
-        ("givens equals exp_map", _check_givens_exp_consistency),
-        ("orthogonality drift", _check_drift),
-        ("reorthogonalize repair", _check_reorthogonalize),
-        ("BPTT finite differences", _check_bptt_fd),
-        ("copy task structure", _check_copytask),
-        ("loss and modrelu values", _check_loss_values),
-        ("schedule validation and sums", _check_schedules),
-        ("coordinate selection rules", _check_selection),
-        ("convergence metric recompute", _check_metric_recompute),
-        ("shared unconstrained update", _check_step_equivalence),
-    ]
-    failed = 0
-    for name, fn in checks:
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failed += 1
-            print(f"[FAIL] {name}: {exc}")
-        else:
-            print(f"[PASS] {name}")
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            _check_checkpoint(Path(tmp))
-        except Exception as exc:  # noqa: BLE001
-            failed += 1
-            print(f"[FAIL] checkpoint round-trip: {exc}")
-        else:
-            print("[PASS] checkpoint round-trip")
-    print(f"{len(checks) + 1 - failed}/{len(checks) + 1} checks passed")
-    return 0 if failed == 0 else 2
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -793,11 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("train", "train the RNN on the copying task"),
             ("sparsity", "gradient-sparsity snapshots at init and after training"),
             ("convergence", "SRCD-U on the synthetic problem, averaged gradient norms"),
-            ("bench", "wall-clock cost of the update kernels"),
-            ("check", "run the invariant suite")):
+            ("bench", "wall-clock cost of the update kernels")):
         p = sub.add_parser(name, help=helptext)
-        if name == "check":
-            continue
         p.add_argument("--config", default=None, metavar="PATH",
                        help="INI config file")
         for f in dataclasses.fields(ExperimentConfig):
@@ -806,10 +572,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mark_stopped(rundir: RunDir | None, status: str,
+                  exc: BaseException) -> None:
+    """Record in run_meta.json why a run stopped.  If that write fails
+    too, the error that stopped the run is still the one reported."""
+    if rundir is None:
+        return
+    try:
+        rundir.finish(status, error=f"{type(exc).__name__}: {exc}")
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check()
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means numeric failure here
+        return 1 if exc.code else 0
     rundir = None
     try:
         overrides = {f.name: getattr(args, f.name)
@@ -824,18 +604,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"done: {rundir.path}")
         return 0
     except ConfigError as exc:
-        if rundir is not None:
-            rundir.finish("failed", error=str(exc))
+        _mark_stopped(rundir, "failed", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (optim.NumericError, FloatingPointError) as exc:
-        if rundir is not None:
-            rundir.finish("failed", error=str(exc))
+        _mark_stopped(rundir, "failed", exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        _mark_stopped(rundir, "failed", exc)
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except BaseException as exc:
+        _mark_stopped(rundir, "interrupted" if isinstance(exc, KeyboardInterrupt)
+                      else "failed", exc)
+        raise
 
 
 if __name__ == "__main__":

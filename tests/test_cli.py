@@ -72,6 +72,8 @@ def test_config_error_cases(tmp_path):
         cli.parse_config(overrides={"mask": "everything"})
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"robbins_monro": "true"})  # fixed schedule
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(overrides={"alphabet": "1"})  # copytask needs >= 2
     # every value bench_update refuses is refused here, before a run dir
     for key, raw in (("bench_reps", "5"), ("bench_warmup", "4"),
                      ("bench_dims", "2,64"), ("bench_phase_d", "3"),
@@ -193,6 +195,9 @@ def _poison_backward(monkeypatch):
 def test_exit_codes(tmp_path, monkeypatch):
     # config error
     assert run_main(["train", "--optimizer", "adam"], tmp_path, monkeypatch) == 1
+    # usage errors: unknown flag, unknown subcommand, no subcommand
+    for argv in (["train", "--bogus", "1"], ["check"], []):
+        assert run_main(argv, tmp_path, monkeypatch) == 1
     # I/O failure: output directory path occupied by a file
     blocker = tmp_path / "blocked"
     blocker.write_text("no directory here")
@@ -211,6 +216,34 @@ def test_failed_run_is_marked(tmp_path, monkeypatch):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] == "failed"
     assert "error" in meta
+
+
+@pytest.mark.parametrize("exc, status", [(RuntimeError, "failed"),
+                                         (KeyboardInterrupt, "interrupted")])
+def test_uncaught_error_marks_run(exc, status, tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli.rnn, "backward", boom)
+    out = tmp_path / "run"
+    with pytest.raises(exc):
+        run_main(["train", *TINY, "--out", str(out)], tmp_path, monkeypatch)
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == status
+    assert meta["error"] == f"{exc.__name__}: boom"
+
+
+def test_io_error_marks_run(tmp_path, monkeypatch):
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.rnn, "save_checkpoint", no_space)
+    out = tmp_path / "run"
+    assert run_main(["train", *TINY, "--out", str(out)],
+                    tmp_path, monkeypatch) == 3
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == "failed"
+    assert "No space left" in meta["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +318,8 @@ def test_bench_run(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# check and entry point
+# entry point
 # ---------------------------------------------------------------------------
-
-def test_check_subcommand_passes(capsys):
-    assert cli.main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
-    assert "checks passed" in out
-
 
 def test_console_entry_point(tmp_path):
     # the installed script wires to cli.main
@@ -302,6 +328,7 @@ def test_console_entry_point(tmp_path):
          "--out", str(tmp_path / "run")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert (tmp_path / "run" / "trace.csv").exists()
 
 
