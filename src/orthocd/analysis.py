@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import copytask, manifold, optim, rnn
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 __all__ = [
     "BenchRecord",
@@ -235,11 +229,10 @@ def bench_update(
     gradients (Table-1 "optim.step()" analogue; the gradient content is
     random since it does not affect cost).  phase="backward_update"
     times BPTT plus the update on a real copy-task batch (desk-scale
-    sequence at the requested width).  When threadpoolctl is installed,
-    timing runs under its 1-thread limit on every BLAS copy.  Without
-    it no limit is applied: numpy's OpenBLAS runs at its default
-    thread count and scipy's as `manifold`'s thread policy sets it (the
-    counts in force go to run_meta.json).  Setup and allocation
+    sequence at the requested width).  No thread limit is applied:
+    numpy's OpenBLAS runs at its default thread count and scipy's as
+    `manifold`'s thread policy sets it (the counts in force go to
+    run_meta.json).  Setup and allocation
     stay outside the timed region, and the same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
     flops field is the optimizer's analytic W-path count, not measured.
@@ -280,11 +273,9 @@ def bench_update(
             step(state, grads)
             return time.perf_counter() - t0
 
-    limit = threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext()
-    with limit:
-        for _ in range(warmup):
-            timed_once()
-        times = np.array([timed_once() for _ in range(reps)])
+    for _ in range(warmup):
+        timed_once()
+    times = np.array([timed_once() for _ in range(reps)])
 
     q25, q50, q75 = np.percentile(times, [25, 50, 75])
     return BenchRecord(d=d, optimizer=optimizer, phase=phase,

@@ -16,7 +16,9 @@ bitwise.
 
 Exit codes: 0 success, 1 config or usage error, 2 numeric failure,
 3 I/O error.  Any other exception propagates after the run is marked
-failed, or interrupted for Ctrl-C, in run_meta.json.
+failed, or interrupted for Ctrl-C, in run_meta.json.  SIGTERM also
+marks the run interrupted; the process then exits with 143 (128 +
+SIGTERM).
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import threading
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass
@@ -366,12 +370,15 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         value, grads = rnn.backward(params, x1h, data.targets, data.mask)
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
-        v = manifold.all_partials(state.w, grads.w)
+        # S = W^T G - G^T W, formed once: the gnormsq column and the
+        # step both read it (||grad_W||^2 = ||S||_F^2 / 4)
+        skew = manifold.skew_grad(state.w, grads.w)
+        x_blocks = grads.x_blocks()
         alphas[k] = optim.schedule_step(schedule, state.k)
         losses[k] = value
-        gnormsq[k] = float(v @ v) + sum(
-            float(np.sum(g * g)) for g in grads.x_blocks().values())
-        opt.step(state, grads)
+        gnormsq[k] = float(np.vdot(skew, skew)) / 4.0 + sum(
+            float(np.sum(g * g)) for g in x_blocks.values())
+        opt.step(state, optim.GradPack(w=grads.w, x=x_blocks, skew=skew))
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
@@ -584,12 +591,28 @@ def _mark_stopped(rundir: RunDir | None, status: str,
         pass
 
 
+class _Terminated(SystemExit):
+    """SIGTERM during a command: the run is marked interrupted and the
+    process exits with the shell's code for it, 128 + SIGTERM."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise _Terminated(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, and 2 means numeric failure here
         return 1 if exc.code else 0
+    # Python's default SIGTERM action ends the process without raising,
+    # so without a handler a stopped run would stay "running".  Only the
+    # main thread may set handlers; the previous one is put back on
+    # return, since a caller may run main several times in one process.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     rundir = None
     try:
         overrides = {f.name: getattr(args, f.name)
@@ -616,9 +639,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except BaseException as exc:
-        _mark_stopped(rundir, "interrupted" if isinstance(exc, KeyboardInterrupt)
-                      else "failed", exc)
+        stopped = isinstance(exc, (KeyboardInterrupt, _Terminated))
+        _mark_stopped(rundir, "interrupted" if stopped else "failed", exc)
         raise
+    finally:
+        if on_main:
+            # None: the previous handler was not set from Python
+            signal.signal(signal.SIGTERM,
+                          signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

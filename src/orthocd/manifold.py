@@ -78,6 +78,8 @@ __all__ = [
     "random_orthogonal",
     "reorthogonalize",
     "skew_basis",
+    "skew_grad",
+    "skew_partials",
     "tangent_project",
 ]
 
@@ -87,6 +89,7 @@ ORTHOGONALITY_TOL = 1e-8
 DET_TOL = 1e-6
 TANGENCY_TOL = 1e-12
 EXPM_THREADED_MIN_D = 900  # thread policy: see the module docstring
+SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see _antisym
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +311,51 @@ def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx
 
 
-def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """All D Riemannian partial derivatives as a vector, coordinate i at
-    position i-1.  Computed once through A = W^T G; the row-major upper
-    triangle of (A - A^T)/sqrt(2) matches the coord_index enumeration.
+def _antisym(a: np.ndarray) -> np.ndarray:
+    """a - a.T, bitwise.  From SKEW_BLOCKED_MIN_D up it is formed in
+    square tiles: a strided transpose of the whole matrix misses cache
+    on every read (d=1024 on 2 vCPUs: 18 -> 9 ms); below that width the
+    one-shot form is faster."""
+    d = a.shape[0]
+    if d < SKEW_BLOCKED_MIN_D:
+        return a - a.T
+    s = np.empty_like(a)
+    tile = 128
+    for r in range(0, d, tile):
+        for c in range(0, d, tile):
+            np.subtract(a[r:r + tile, c:c + tile], a[c:c + tile, r:r + tile].T,
+                        out=s[r:r + tile, c:c + tile])
+    return s
+
+
+def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """S = A - A^T with A = W^T G, one d^3 product.
+
+    S carries everything a step on W reads from the Euclidean gradient
+    G: the Riemannian gradient is W S/2, partial i = (j, l) is
+    S[j,l]/sqrt(2), and the squared Riemannian gradient norm is
+    ||S||_F^2/4.  S is exactly antisymmetric, S^T == -S bitwise.
     """
     w = _check_square(w)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, G is {g.shape}")
-    d = w.shape[0]
-    a = w.T @ g
-    rows, cols = _triu_indices(d)
-    v = (a[rows, cols] - a[cols, rows]) / _SQRT2
-    return v
+    return _antisym(w.T @ g)
+
+
+def skew_partials(s: np.ndarray) -> np.ndarray:
+    """All D partials from S = skew_grad(W, G), coordinate i at
+    position i-1: the row-major upper triangle of S/sqrt(2), which
+    matches the coord_index enumeration."""
+    rows, cols = _triu_indices(s.shape[0])
+    return s[rows, cols] / _SQRT2
+
+
+def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """All D Riemannian partial derivatives as a vector, coordinate i at
+    position i-1: skew_partials(skew_grad(W, G)), about 2d^3 + d^2.
+    """
+    return skew_partials(skew_grad(w, g))
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,24 @@ Coordinate choice is uniform i.i.d., Gauss-Southwell (largest
 pairs.  A plain Euclidean `sgd_step` (no orthogonality enforcement) is
 included as the unconstrained baseline.
 
+Every step on W except the uniform one reads S = W^T G - G^T W
+(`manifold.skew_grad`): srgd uses S/2, Gauss-Southwell takes argmax
+|S| over j < l with theta = S[j,l]/sqrt(2), and block Gauss-Southwell
+gathers the partials from S's upper triangle.  A GradPack may carry S,
+formed once by a caller that also needs it (the train loop's gnormsq);
+otherwise the step forms it from G.  The uniform step reads two
+columns of W and G, O(d).
+
 OPTIMIZERS is the one table of the training optimizers: each name maps
 to its selection-rule kind, its step function, and the analytic flop
-count of its W update as a function of d (the cost model the bench
-reports).  `sgd` is not in it: its W leaves O(d), so it is a bench-only
-baseline (see `analysis`).
+count of its W update as a function of d, for a step handed G alone
+(the cost model the bench reports).  `sgd` is not in it: its W leaves
+O(d), so it is a bench-only baseline (see `analysis`).
 
 States mutate their parameter arrays in place and are single-owner.
-All steps raise NumericError on non-finite gradients rather than let
-NaNs propagate into the parameters.
+All steps raise NumericError on non-finite gradients (G, S when
+bundled, and every X block) rather than let NaNs propagate into the
+parameters.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold
+
+_SQRT2 = math.sqrt(2.0)
 
 __all__ = [
     "GradPack",
@@ -120,10 +131,16 @@ class SelectionRule:
 class GradPack:
     """Gradient bundle for the generic steps: Euclidean gradient of the
     orthogonal block plus named unconstrained blocks.  rnn.Grads is
-    duck-compatible (same .w attribute and .x_blocks() method)."""
+    duck-compatible (same .w attribute and .x_blocks() method).
+
+    `skew`, when given, is manifold.skew_grad(W, w) at the W the step
+    will update; the steps that read S take it from here instead of
+    forming it again.  Without it they compute it from `w`.
+    """
 
     w: np.ndarray
     x: dict[str, np.ndarray] = field(default_factory=dict)
+    skew: np.ndarray | None = None
 
     def x_blocks(self) -> dict[str, np.ndarray]:
         return self.x
@@ -160,12 +177,56 @@ class OptimizerState:
                    reorth_every=reorth_every)
 
 
+# np.vdot sums up to this many entries on one OpenBLAS thread.  Longer
+# sums wake the pool, whose workers then spin and slow the Python work
+# that follows on a machine with few cores (2 vCPUs, uniform step at
+# d=190: 40 -> 72-114 us), so those get the entrywise test alone.
+_SCREEN_MAX_SIZE = 10_000
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # the sum of squares is finite only if every entry is; when it is
+    # not (a NaN or inf, or an overflow of huge finite entries), the
+    # exact entrywise test decides
+    if x.size <= _SCREEN_MAX_SIZE:
+        flat = x.ravel()
+        if math.isfinite(np.vdot(flat, flat)):
+            return True
+    return bool(np.isfinite(x).all())
+
+
 def _check_finite(grads) -> None:
-    if not np.all(np.isfinite(grads.w)):
+    if not _all_finite(grads.w):
         raise NumericError("non-finite entries in the W gradient")
+    skew = getattr(grads, "skew", None)
+    if skew is not None and not _all_finite(skew):
+        raise NumericError("non-finite entries in the W gradient's skew part")
     for name, g in grads.x_blocks().items():
-        if not np.all(np.isfinite(g)):
+        if not _all_finite(g):
             raise NumericError(f"non-finite entries in gradient block {name!r}")
+
+
+def _skew(w: np.ndarray, grads) -> np.ndarray:
+    """S = W^T G - G^T W: the bundle's, or formed here."""
+    skew = getattr(grads, "skew", None)
+    return manifold.skew_grad(w, grads.w) if skew is None else skew
+
+
+def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
+    """The 0-based column pair of select_gauss_southwell(skew_partials(S)),
+    without the gather.
+
+    |S|/sqrt(2) holds the partials' magnitudes bitwise (dividing first
+    keeps ties that the rounding of the division creates).  It is
+    symmetric with a zero diagonal, so the first row-major maximum of
+    the whole matrix lies in the upper triangle, where row-major order
+    is the coordinate order: ties go to the smallest coordinate.  An
+    all-zero S gives coordinate 1, the pair (0, 1).
+    """
+    mags = np.abs(skew)
+    mags /= _SQRT2
+    r, c = divmod(int(np.argmax(mags)), skew.shape[0])
+    return (r, c) if r < c else (0, 1)
 
 
 def _update_x(state: OptimizerState, grads, alpha: float) -> None:
@@ -195,9 +256,7 @@ def srgd_step(state: OptimizerState, grads) -> OptimizerState:
     _check_finite(grads)
     _update_x(state, grads, alpha)
     w = state.w
-    a = w.T @ grads.w
-    skew = (a - a.T) / 2.0
-    w[...] = w @ manifold.matrix_expm(-alpha * skew)
+    w[...] = w @ manifold.matrix_expm(-alpha * (_skew(w, grads) / 2.0))
     state.k += 1
     if state.reorth_every and state.k % state.reorth_every == 0:
         w[...] = manifold.reorthogonalize(w)
@@ -228,12 +287,13 @@ def srcd_step(state: OptimizerState, grads) -> OptimizerState:
         manifold.givens_update(w, i, -alpha * theta, out=w)
         state.last_coords = (i,)
     elif rule.kind == "gauss_southwell":
-        v = manifold.all_partials(w, grads.w)
-        i = select_gauss_southwell(v)
-        manifold.givens_update(w, i, -alpha * v[i - 1], out=w)
+        skew = _skew(w, grads)
+        r, c = _greedy_pair(skew)
+        i = manifold.coord_index(r + 1, c + 1, d)
+        manifold.givens_update(w, i, -alpha * (skew[r, c] / _SQRT2), out=w)
         state.last_coords = (i,)
     else:  # block_gs
-        v = manifold.all_partials(w, grads.w)
+        v = manifold.skew_partials(_skew(w, grads))
         coords = select_block_gs(v, rule.block_size(n_coords), d,
                                  disjoint=rule.disjoint)
         thetas = [-alpha * v[i - 1] for i in coords]
@@ -273,9 +333,10 @@ def _block_gs_flops(d: int) -> int:
     return 2 * d**3 + d**2 + 6 * d * picks
 
 
-# W-path costs: partial derivative 4d (two column dot products), Givens
-# rotation 6d, all_partials 2d^3 + d^2 (W^T G, then the triangle),
-# dense step 4d^3 (W^T G, W expm(.)) plus Pade-13 expm ~13 matmuls 26d^3
+# W-path costs given G alone: partial derivative 4d (two column dot
+# products), Givens rotation 6d, S 2d^3 (W^T G) + d^2 (argmax |S| or the
+# triangle), dense step 4d^3 (W^T G, W expm(.)) plus Pade-13 expm ~13
+# matmuls 26d^3
 OPTIMIZERS: dict[str, Optimizer] = {
     "srgd": Optimizer(None, srgd_step, lambda d: 30 * d**3),
     "srcd-u": Optimizer("uniform", srcd_step, lambda d: 10 * d),

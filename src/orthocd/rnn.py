@@ -7,10 +7,15 @@ gradients for every parameter block; the gradient for W is the raw
 Euclidean one (projection onto the tangent space is the geometry
 module's job).
 
-Arrays are batch-first: inputs (B, T, d_in), trace fields (B, T, .).
-A 2D input (T, d_in) is treated as a batch of one.  All math is in
-float64 and every function here is deterministic, so a fixed seed
-reproduces runs bitwise.
+The public API is batch-first: inputs (B, T, d_in), targets and masks
+(B, T), ForwardTrace fields (B, T, .).  A 2D input (T, d_in) is
+treated as a batch of one.  Inside, one recurrence (`_recur`) runs
+time-major on contiguous (T, B, d) arrays, so every per-step slice is
+contiguous; the trace fields are transposed views of them.  `forward`
+stores hidden states, preactivations and logits; `backward` stores
+only the hidden states, and its memory peak is about two (T, B, d)
+float64 arrays.  All math is in float64 and every function here is
+deterministic, so a fixed seed reproduces runs bitwise.
 """
 
 from __future__ import annotations
@@ -94,8 +99,9 @@ class Grads:
     """Euclidean gradients, same shapes as RnnParams.
 
     `w` is NOT projected onto the tangent space; consumers that need
-    Riemannian quantities go through manifold.tangent_project or
-    manifold.all_partials.
+    Riemannian quantities form S = manifold.skew_grad(W, w), from which
+    the Riemannian gradient, the coordinate partials and its norm all
+    follow (see `manifold`).
     """
 
     w_in: np.ndarray
@@ -123,6 +129,52 @@ def _as_batched(inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
+def _recur(
+    params: RnnParams,
+    inputs: np.ndarray,
+    h0: np.ndarray | None,
+    activation: str,
+    preact: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence, time-major.
+
+    Takes batch-first inputs (B, T, d_in) and returns (x, hidden): the
+    inputs as a contiguous (T, B, d_in) copy and the hidden states as a
+    contiguous (T, B, d) array.  W_in x(t) for all steps is one GEMM
+    written straight into `hidden`; each step then adds W h(t-1) and
+    applies the activation in place.  A (T, B, d) `preact` array, when
+    given, receives the preactivations.
+    """
+    bsz, steps, d_in = inputs.shape
+    if d_in != params.d_in:
+        raise ValueError(f"input feature dim {d_in} != params d_in {params.d_in}")
+    if activation not in ("modrelu", "identity"):
+        raise ValueError(f"unknown activation {activation!r}")
+    d = params.d
+    h = None if h0 is None else np.broadcast_to(
+        np.asarray(h0, dtype=np.float64), (bsz, d))
+
+    x = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    hidden = np.empty((steps, bsz, d))
+    np.matmul(x.reshape(-1, d_in), params.w_in.T, out=hidden.reshape(-1, d))
+    w_t = params.w.T
+    mag = np.empty((bsz, d))
+    for t in range(steps):
+        pre = hidden[t]
+        if h is not None:
+            pre += h @ w_t
+        if preact is not None:
+            preact[t] = pre
+        if activation == "modrelu":  # modrelu(pre, b_mod), in place
+            np.abs(pre, out=mag)
+            mag += params.b_mod
+            np.maximum(mag, 0.0, out=mag)
+            np.sign(pre, out=pre)
+            pre *= mag
+        h = pre
+    return x, hidden
+
+
 def forward(
     params: RnnParams,
     inputs: np.ndarray,
@@ -133,31 +185,17 @@ def forward(
 
     `activation` is "modrelu" or "identity"; the identity hook exists so
     tests can isolate the linear dynamics (orthogonal W preserves the
-    hidden-state norm exactly in that mode).
+    hidden-state norm exactly in that mode).  The trace fields are
+    (B, T, .) views of time-major arrays.
     """
     inputs = _as_batched(inputs)
-    bsz, steps, d_in = inputs.shape
-    if d_in != params.d_in:
-        raise ValueError(f"input feature dim {d_in} != params d_in {params.d_in}")
-    if activation not in ("modrelu", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
-    d = params.d
-    h = np.zeros((bsz, d)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (bsz, d)).copy()
-    if h.shape != (bsz, d):
-        raise ValueError("h0 has wrong dimension")
-
-    preact = np.empty((bsz, steps, d))
-    hidden = np.empty((bsz, steps, d))
-    w_in_t = params.w_in.T
-    w_t = params.w.T
-    for t in range(steps):
-        pre = inputs[:, t] @ w_in_t + h @ w_t
-        preact[:, t] = pre
-        h = modrelu(pre, params.b_mod) if activation == "modrelu" else pre
-        hidden[:, t] = h
+    bsz, steps, _ = inputs.shape
+    preact = np.empty((steps, bsz, params.d))
+    _, hidden = _recur(params, inputs, h0, activation, preact)
     logits = hidden @ params.w_out.T + params.b_out
-    return ForwardTrace(hidden=hidden, preact=preact, logits=logits)
+    return ForwardTrace(hidden=hidden.transpose(1, 0, 2),
+                        preact=preact.transpose(1, 0, 2),
+                        logits=logits.transpose(1, 0, 2))
 
 
 def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -243,43 +281,65 @@ def backward(
 
     Returns (loss, Grads).  The modReLU subgradient is 0 both at the
     kink |x| + b = 0 and at x = 0.
+
+    Only the hidden states are kept from the forward pass: modReLU's
+    output h is nonzero exactly where its subgradient is 1, and there
+    sign(h) = sign(pre).  The reverse loop does the elementwise work
+    step by step and writes dL/dpre(t) over dL/dh_out(t) in one
+    (T, B, d) buffer, so dW, dW_in and dW_out are one GEMM each after
+    it.
     """
     inputs = _as_batched(inputs)
     bsz, steps, _ = inputs.shape
     targets = np.asarray(targets)
     if targets.ndim == 1:
         targets = targets[None]
-    trace = forward(params, inputs, h0=h0, activation=activation)
-    targets = _check_targets(trace.logits, targets)
-    mask = _resolve_mask(mask, trace.logits.shape[:-1])
-    value, dlogits = _loss_and_dlogits(trace.logits, targets, mask)
+    x, hidden = _recur(params, inputs, h0, activation)
+    logits = hidden @ params.w_out.T + params.b_out
+    # the loss over (B, T) views, so its summation order is batch-first
+    logits_bt = logits.transpose(1, 0, 2)
+    targets = _check_targets(logits_bt, targets)
+    mask = _resolve_mask(mask, logits_bt.shape[:-1])
+    value, dlogits = _loss_and_dlogits(logits_bt, targets, mask)
+    del logits, logits_bt
+    dlogits = np.ascontiguousarray(dlogits.transpose(1, 0, 2))
 
-    d = params.d
-    g = Grads(
-        w_in=np.zeros_like(params.w_in),
-        w=np.zeros_like(params.w),
-        w_out=np.einsum("btc,btd->cd", dlogits, trace.hidden),
-        b_out=dlogits.sum(axis=(0, 1)),
-        b_mod=np.zeros_like(params.b_mod),
-    )
-    dh_out = dlogits @ params.w_out  # (B, T, d)
-    h_first = np.zeros((bsz, d)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (bsz, d))
-    carry = np.zeros((bsz, d))
+    d, d_out = params.d, params.d_out
+    rows = steps * bsz
+    flat_dlogits = dlogits.reshape(rows, d_out)
+    flat_hidden = hidden.reshape(rows, d)
+    dpre = np.empty((steps, bsz, d))  # dL/dh_out(t), then dL/dpre(t)
+    np.matmul(flat_dlogits, params.w_out, out=dpre.reshape(rows, d))
+    g_w_out = flat_dlogits.T @ flat_hidden
+    g_b_out = flat_dlogits.sum(axis=0)
+    del dlogits, flat_dlogits
+    b_mod = np.zeros((bsz, d))
+    sgn = np.empty((bsz, d))
+    carry = np.empty((bsz, d))
     for t in range(steps - 1, -1, -1):
-        dh = dh_out[:, t] + carry
-        pre = trace.preact[:, t]
+        dh = dpre[t]
+        if t < steps - 1:
+            dh += carry
         if activation == "modrelu":
-            active = ((np.abs(pre) + params.b_mod) > 0.0) & (pre != 0.0)
-            dpre = dh * active
-            g.b_mod += (dpre * np.sign(pre)).sum(axis=0)
-        else:
-            dpre = dh
-        g.w_in += dpre.T @ inputs[:, t]
-        h_prev = trace.hidden[:, t - 1] if t > 0 else h_first
-        g.w += dpre.T @ h_prev
-        carry = dpre @ params.w
-    return value, g
+            np.sign(hidden[t], out=sgn)
+            dh *= sgn                 # dL/dpre * sign(pre) where active
+            b_mod += dh
+            dh *= sgn                 # dL/dpre: sign^2 is the active mask
+        np.matmul(dh, params.w, out=carry)
+
+    flat_dpre = dpre.reshape(rows, d)
+    # dW = sum_t dpre(t)^T h(t-1), with h(-1) = h0 (zero by default)
+    g_w = flat_dpre[bsz:].T @ flat_hidden[:rows - bsz]
+    if h0 is not None and steps:
+        g_w += dpre[0].T @ np.broadcast_to(np.asarray(h0, dtype=np.float64), (bsz, d))
+    grads = Grads(
+        w_in=flat_dpre.T @ x.reshape(rows, params.d_in),
+        w=g_w,
+        w_out=g_w_out,
+        b_out=g_b_out,
+        b_mod=b_mod.sum(axis=0),
+    )
+    return value, grads
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,49 @@ def cayley_pair(s: float) -> np.ndarray:
     den = 1.0 + s * s
     return np.array([[1.0 - s * s, -2.0 * s],
                      [2.0 * s, 1.0 - s * s]]) / den
+
+
+def rnn_backward_per_step(params, inputs, targets, mask=None, h0=None,
+                          activation="modrelu"):
+    """BPTT batch-first, with dW, dW_in and b_mod accumulated one time
+    step at a time and the modReLU mask read from the stored
+    preactivations (the loop the library's time-major backward
+    replaced).  Returns (loss, dict of gradient blocks)."""
+    from orthocd import rnn
+
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim == 2:
+        inputs = inputs[None]
+    bsz, steps, _ = inputs.shape
+    targets = np.asarray(targets)
+    if targets.ndim == 1:
+        targets = targets[None]
+    trace = rnn.forward(params, inputs, h0=h0, activation=activation)
+    preact = np.ascontiguousarray(trace.preact)
+    hidden = np.ascontiguousarray(trace.hidden)
+    mask = rnn._resolve_mask(mask, trace.logits.shape[:-1])
+    value, dlogits = rnn._loss_and_dlogits(
+        np.ascontiguousarray(trace.logits), targets, mask)
+
+    d = params.d
+    g = {"w_in": np.zeros_like(params.w_in), "w": np.zeros_like(params.w),
+         "w_out": np.einsum("btc,btd->cd", dlogits, hidden),
+         "b_out": dlogits.sum(axis=(0, 1)), "b_mod": np.zeros_like(params.b_mod)}
+    dh_out = dlogits @ params.w_out
+    h_first = np.zeros((bsz, d)) if h0 is None else np.broadcast_to(
+        np.asarray(h0, dtype=np.float64), (bsz, d))
+    carry = np.zeros((bsz, d))
+    for t in range(steps - 1, -1, -1):
+        dh = dh_out[:, t] + carry
+        pre = preact[:, t]
+        if activation == "modrelu":
+            active = ((np.abs(pre) + params.b_mod) > 0.0) & (pre != 0.0)
+            dpre = dh * active
+            g["b_mod"] += (dpre * np.sign(pre)).sum(axis=0)
+        else:
+            dpre = dh
+        g["w_in"] += dpre.T @ inputs[:, t]
+        h_prev = hidden[:, t - 1] if t > 0 else h_first
+        g["w"] += dpre.T @ h_prev
+        carry = dpre @ params.w
+    return value, g

@@ -1,6 +1,9 @@
 import json
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -330,6 +333,54 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert (tmp_path / "run" / "trace.csv").exists()
+
+
+def test_sigterm_marks_run_interrupted(tmp_path):
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orthocd.cli", "train", *TINY,
+         "--iterations", "1000000", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        # run_meta.json is written after the handler is in place
+        deadline = time.monotonic() + 60
+        while not (out / "run_meta.json").exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "run never started"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == "interrupted"
+    assert "ended_unix" in meta
+
+
+def test_main_restores_sigterm_handler(tmp_path, monkeypatch):
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert run_main(["train", *TINY], tmp_path, monkeypatch) == 0
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_main_runs_off_the_main_thread(tmp_path, monkeypatch):
+    # signal handlers can only be set from the main thread, so main
+    # skips the SIGTERM handler there
+    monkeypatch.setenv("ORTHOCD_RUNS", str(tmp_path / "runs"))
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(cli.main(["train", *TINY])))
+    worker.start()
+    worker.join(timeout=120)
+    assert codes == [0]
 
 
 def test_full_precision_csv_cells():

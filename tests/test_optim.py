@@ -320,6 +320,109 @@ def test_non_finite_gradients_raise():
             fn(state, bad_x)
 
 
+@pytest.mark.parametrize("d", [6, 110])  # screened, and past the screen's size
+def test_finite_check_screens_without_changing_the_rule(d):
+    rng = np.random.default_rng(30)
+    state = make_state(d=d, rule=optim.SelectionRule("uniform"))
+    w0, x0 = state.w.copy(), state.x["x"].copy()
+
+    def huge(seed):
+        # sums of squares overflow to inf, every entry is finite
+        g = random_grads(state, seed=seed)
+        g.w *= 1e200
+        g.x["x"] *= 1e200
+        g.skew = mf.skew_grad(state.w, random_grads(state, seed + 1).w) * 1e200
+        return g
+
+    for fn in (optim.sgd_step, optim.srcd_step):
+        fn(state, huge(31))
+        state.w[...], state.x["x"][...] = w0, x0
+    for k in range(30):
+        grads = huge(32 + k)
+        block = [grads.w, grads.x["x"], grads.skew][k % 3]
+        bad = (np.nan, np.inf, -np.inf)[k % 3 if k < 15 else rng.integers(3)]
+        block[tuple(rng.integers(0, n) for n in block.shape)] = bad
+        with pytest.raises(optim.NumericError):
+            optim.srcd_step(state, grads)
+
+
+def _parent_partials(w, g):
+    a = w.T @ g
+    rows, cols = np.triu_indices(w.shape[0], k=1)
+    return (a[rows, cols] - a[cols, rows]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("d", [5, 8, 64, 520])
+def test_skew_picks_match_all_partials(d):
+    rng = np.random.default_rng(40 + d)
+    w0 = random_w(d, seed=d)
+    g = rng.standard_normal((d, d))
+    skew = mf.skew_grad(w0, g)
+    assert np.array_equal(skew.T, -skew)
+    v = mf.all_partials(w0, g)
+    # the same arithmetic as forming W^T G and gathering both triangles
+    assert np.array_equal(v, _parent_partials(w0, g))
+    assert float(np.vdot(skew, skew)) / 4.0 == pytest.approx(float(v @ v), rel=1e-13)
+    alpha = 0.01
+    for rule in (optim.SelectionRule("gauss_southwell"),
+                 optim.SelectionRule("block_gs", block_fraction=0.1)):
+        results = []
+        for grads in (optim.GradPack(w=g), optim.GradPack(w=g, skew=skew)):
+            state = optim.OptimizerState(w=w0.copy(), x={},
+                                         schedule=optim.StepSchedule("fixed", alpha),
+                                         rule=rule)
+            optim.srcd_step(state, grads)
+            results.append((state.last_coords, state.w))
+        if rule.kind == "gauss_southwell":
+            coords = [optim.select_gauss_southwell(v)]
+        else:
+            coords = optim.select_block_gs(v, rule.block_size(v.size), d)
+        want = optim.apply_block(w0, coords, [-alpha * v[i - 1] for i in coords])
+        for last, w in results:
+            assert last == tuple(coords)
+            assert np.array_equal(w, want)
+
+
+def test_srgd_skew_bundle_is_bitwise_the_dense_formula():
+    state = make_state(d=7, alpha=0.05)
+    g = random_grads(state, seed=41)
+    w0 = state.w.copy()
+    a = w0.T @ g.w
+    want = w0 @ mf.matrix_expm(-0.05 * ((a - a.T) / 2.0))
+    for grads in (g, optim.GradPack(w=g.w, x=g.x, skew=mf.skew_grad(w0, g.w))):
+        state.w[...] = w0
+        state.k = 0
+        optim.srgd_step(state, grads)
+        assert np.array_equal(state.w, want)
+
+
+@pytest.mark.parametrize("kind", ["gauss_southwell", "block_gs"])
+def test_skew_picks_ties_and_zero_gradient(kind):
+    # W = I makes S = G - G^T; exact ties go to the smallest coordinate
+    d = 6
+    g = np.zeros((d, d))
+    g[2, 5], g[1, 2], g[0, 3], g[4, 5] = 2.0, -2.0, 2.0, 1.0
+    # adjacent doubles that dividing by sqrt(2) rounds to one partial:
+    # the tie goes to the earlier coordinate, not the larger |S|
+    merged = np.zeros((d, d))
+    merged[0, 4], merged[1, 3] = 1.5000000000000004, 1.5000000000000007
+    assert merged[0, 4] / math.sqrt(2.0) == merged[1, 3] / math.sqrt(2.0)
+    rule = optim.SelectionRule(kind, block_fraction=0.2)
+    for grad in (g, g.T.copy(), merged, np.zeros((d, d))):
+        v = mf.all_partials(np.eye(d), grad)
+        if kind == "gauss_southwell":
+            want = (optim.select_gauss_southwell(v),)
+        else:
+            want = tuple(optim.select_block_gs(v, rule.block_size(v.size), d))
+        state = optim.OptimizerState(w=np.eye(d), x={},
+                                     schedule=optim.StepSchedule("fixed", 0.1),
+                                     rule=rule)
+        optim.srcd_step(state, optim.GradPack(w=grad, skew=mf.skew_grad(np.eye(d), grad)))
+        assert state.last_coords == want
+    assert want[0] == 1  # all-zero gradient: coordinate 1
+    assert np.array_equal(state.w, np.eye(d))
+
+
 def test_for_rnn_state_shares_parameter_memory():
     params = rnn.init_params(8, 5, 4, seed=18)
     state = optim.OptimizerState.for_rnn(params, optim.StepSchedule("fixed", 1e-3),

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from orthocd import manifold as mf
 from orthocd import rnn
 
-from oracles import cayley_pair, central_diff, rnn_forward, softmax_xent
+from oracles import (cayley_pair, central_diff, rnn_backward_per_step,
+                     rnn_forward, softmax_xent)
 
 
 def make_params(d=6, d_in=4, d_out=3, seed=0):
@@ -196,6 +199,67 @@ def test_backward_gradient_zero_where_mask_empty():
     assert value == 0.0
     for block in (grads.w_in, grads.w, grads.w_out, grads.b_out, grads.b_mod):
         assert np.array_equal(block, np.zeros_like(block))
+
+
+def _assert_grads_close(value, grads, ref_value, ref, rel=1e-12):
+    assert value == pytest.approx(ref_value, rel=rel, abs=0.0)
+    for name, want in ref.items():
+        got = getattr(grads, name)
+        assert got.shape == want.shape, name
+        scale = max(float(np.abs(want).max()), 1e-300)
+        assert float(np.abs(got - want).max()) <= rel * scale, name
+
+
+@pytest.mark.parametrize("activation", ["modrelu", "identity"])
+def test_backward_matches_per_step_oracle(activation):
+    rng = np.random.default_rng(20)
+    params = make_params(d=8, d_in=5, d_out=4, seed=21)
+    inputs = rng.standard_normal((3, 12, 5))
+    targets = rng.integers(0, 4, (3, 12))
+    mask = rng.random((3, 12)) < 0.6
+    h0 = rng.standard_normal(8)
+    for kwargs in ({}, {"mask": mask}, {"h0": h0}, {"mask": mask, "h0": h0}):
+        got = rnn.backward(params, inputs, targets, activation=activation, **kwargs)
+        want = rnn_backward_per_step(params, inputs, targets,
+                                     activation=activation, **kwargs)
+        _assert_grads_close(*got, *want)
+    # 2-D input and targets: a batch of one
+    got = rnn.backward(params, inputs[1], targets[1], mask[1], h0=h0,
+                       activation=activation)
+    want = rnn_backward_per_step(params, inputs[1:2], targets[1:2], mask[1:2],
+                                 h0=h0, activation=activation)
+    _assert_grads_close(*got, *want)
+
+
+def test_backward_matches_per_step_oracle_on_one_hot_batches():
+    # copy-task-like inputs: one-hot rows, many inactive modReLU units
+    rng = np.random.default_rng(22)
+    params = make_params(d=16, d_in=6, d_out=5, seed=23)
+    inputs = np.eye(6)[rng.integers(0, 6, (4, 30))]
+    targets = rng.integers(0, 5, (4, 30))
+    got = rnn.backward(params, inputs, targets)
+    want = rnn_backward_per_step(params, inputs, targets)
+    _assert_grads_close(*got, *want)
+
+
+def test_backward_peak_memory_is_bounded():
+    # BPTT keeps the hidden states and one (T, B, d) gradient buffer:
+    # about 2.3x the (T, B, d) float64 trace at this shape, against
+    # about 3.5x when the preactivations and dL/dh_out are kept too
+    d, bsz, steps, d_in, d_out = 64, 16, 60, 11, 10
+    params = rnn.init_params(d, d_in, d_out, seed=24)
+    rng = np.random.default_rng(25)
+    inputs = np.eye(d_in)[rng.integers(0, d_in, (bsz, steps))]
+    targets = rng.integers(0, d_out, (bsz, steps))
+    mask = rng.random((bsz, steps)) < 0.5
+    rnn.backward(params, inputs, targets, mask)  # first-call allocations
+    tracemalloc.start()
+    try:
+        rnn.backward(params, inputs, targets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * steps * bsz * d * 8
 
 
 def test_grads_x_blocks_cover_unconstrained_parameters():
