@@ -8,16 +8,19 @@ dependency beyond the standard library.
 
 Where no OpenBLAS copy is found (MKL or Accelerate builds, or a system
 without /proc) every function here does nothing: `thread_counts` returns
-an empty dict and `set_threads` returns False.
+an empty dict, `set_threads` returns False and `held_threads` leaves
+the count alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import os
 from pathlib import Path
 
-__all__ = ["set_threads", "thread_counts"]
+__all__ = ["held_threads", "set_threads", "thread_counts"]
 
 # (get, set) symbol pairs, tried in order; scipy-openblas wheels use the
 # prefixed names, other builds the plain ones, ILP64 builds add "64_"
@@ -85,3 +88,32 @@ def set_threads(owner: str, n: int) -> bool:
         return False
     entry[1](n)
     return True
+
+
+@functools.cache
+def _cached_handles(owner: str) -> tuple | None:
+    """(get, set) of the copy keyed `owner`, found on the first call
+    only: the lookup reads /proc/self/maps and opens the library (about
+    2 ms), while a get or set through the handles takes under a
+    microsecond.  A copy loaded after the first call is not seen."""
+    return _loaded_openblas().get(owner)
+
+
+@contextlib.contextmanager
+def held_threads(owner: str, n: int):
+    """Run the block with the OpenBLAS copy keyed `owner` at `n`
+    threads, then put back the count it had before.  Cheap enough to
+    wrap a single call; does nothing when that copy is not loaded."""
+    if n < 1:
+        raise ValueError(f"thread count must be >= 1, got {n}")
+    handles = _cached_handles(owner)
+    if handles is None:
+        yield
+        return
+    get_fn, set_fn = handles
+    before = get_fn()
+    set_fn(n)
+    try:
+        yield
+    finally:
+        set_fn(before)

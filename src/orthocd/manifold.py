@@ -42,9 +42,10 @@ d=1024 450 -> 476 ms), so there scipy's copy runs at the count it had
 before this module first changed it.  The count is set only when that
 choice changes, so a run at one width sets it once; setting and
 restoring it around every call would wake the pool every time (see
-`orthocd.blas`).  numpy's copy keeps its default count, since the BPTT
-matmuls gain from threads.  Where scipy's copy is not found (a shared
-or non-OpenBLAS BLAS) nothing is changed.
+`orthocd.blas`).  numpy's copy keeps its default count here; `rnn`
+holds it at one thread only for the length of a small BPTT.  Where
+scipy's copy is not found (a shared or non-OpenBLAS BLAS) nothing is
+changed.
 """
 
 from __future__ import annotations

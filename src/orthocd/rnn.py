@@ -16,16 +16,29 @@ stores hidden states, preactivations and logits; `backward` stores
 only the hidden states, and its memory peak is about two (T, B, d)
 float64 arrays.  All math is in float64 and every function here is
 deterministic, so a fixed seed reproduces runs bitwise.
+
+Thread policy.  `forward` and `backward` run with numpy's OpenBLAS copy
+held at one thread when the dW product, T*B*d*d multiply-adds, is below
+BPTT_THREADED_MIN_WORK, and put its count back on return.  Below that
+size the products are short and a second thread gains little (backward
+on 2 vCPUs, idle host, one thread -> two: d=64, T=110, B=32 16.2 ->
+15.4 ms; d=96 25.6 -> 22.5 ms).  But a threaded product waits for its
+second thread whenever the other vCPU is busy: with one busy process
+beside it, a training iteration at that d=64 size took 37 ms with two
+threads and 18 ms with one, so run times scattered with the host's
+load.  From that size up the threads pay (d=128: 34.6 -> 28.7 ms;
+d=1024, T=20, B=8: 65.6 -> 43.6 ms) and the count is left as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import manifold
+from . import blas, manifold
 
 __all__ = [
     "ForwardTrace",
@@ -43,6 +56,7 @@ __all__ = [
 
 _CKPT_MAGIC = b"ORNNCKP\x00"
 _CKPT_VERSION = 1
+BPTT_THREADED_MIN_WORK = 2**25  # T*B*d*d; thread policy: see the module docstring
 
 
 @dataclass
@@ -129,6 +143,14 @@ def _as_batched(inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
+def _thread_policy(params: RnnParams, bsz: int, steps: int):
+    """numpy's OpenBLAS at one thread for a small BPTT (see the module
+    docstring); a no-op context otherwise."""
+    if steps * bsz * params.d ** 2 >= BPTT_THREADED_MIN_WORK:
+        return contextlib.nullcontext()
+    return blas.held_threads("numpy", 1)
+
+
 def _recur(
     params: RnnParams,
     inputs: np.ndarray,
@@ -191,8 +213,9 @@ def forward(
     inputs = _as_batched(inputs)
     bsz, steps, _ = inputs.shape
     preact = np.empty((steps, bsz, params.d))
-    _, hidden = _recur(params, inputs, h0, activation, preact)
-    logits = hidden @ params.w_out.T + params.b_out
+    with _thread_policy(params, bsz, steps):
+        _, hidden = _recur(params, inputs, h0, activation, preact)
+        logits = hidden @ params.w_out.T + params.b_out
     return ForwardTrace(hidden=hidden.transpose(1, 0, 2),
                         preact=preact.transpose(1, 0, 2),
                         logits=logits.transpose(1, 0, 2))
@@ -294,6 +317,12 @@ def backward(
     targets = np.asarray(targets)
     if targets.ndim == 1:
         targets = targets[None]
+    with _thread_policy(params, bsz, steps):
+        return _backward(params, inputs, targets, mask, h0, activation)
+
+
+def _backward(params, inputs, targets, mask, h0, activation) -> tuple[float, Grads]:
+    bsz, steps, _ = inputs.shape
     x, hidden = _recur(params, inputs, h0, activation)
     logits = hidden @ params.w_out.T + params.b_out
     # the loss over (B, T) views, so its summation order is batch-first

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from orthocd import blas
 from orthocd import manifold as mf
 from orthocd import rnn
 
@@ -260,6 +261,31 @@ def test_backward_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * steps * bsz * d * 8
+
+
+@pytest.mark.skipif("numpy" not in blas.thread_counts(),
+                    reason="numpy's OpenBLAS copy not found")
+@pytest.mark.parametrize("d, bsz, steps, held", [(16, 4, 10, True), (512, 8, 20, False)])
+def test_bptt_thread_policy(monkeypatch, d, bsz, steps, held):
+    # a small BPTT runs with numpy's OpenBLAS at one thread, a large one
+    # at the count in force; the count is put back on return
+    assert (steps * bsz * d * d < rnn.BPTT_THREADED_MIN_WORK) == held
+    before = blas.thread_counts()
+    seen = []
+    recur = rnn._recur
+
+    def spy(*args, **kwargs):
+        seen.append(blas.thread_counts()["numpy"])
+        return recur(*args, **kwargs)
+
+    monkeypatch.setattr(rnn, "_recur", spy)
+    params = rnn.init_params(d, 3, 2, seed=26)
+    rng = np.random.default_rng(27)
+    inputs = rng.standard_normal((bsz, steps, 3))
+    rnn.forward(params, inputs)
+    rnn.backward(params, inputs, rng.integers(0, 2, (bsz, steps)))
+    assert seen == [1 if held else before["numpy"]] * 2
+    assert blas.thread_counts() == before
 
 
 def test_grads_x_blocks_cover_unconstrained_parameters():
