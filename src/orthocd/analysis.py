@@ -10,6 +10,7 @@ CSV for comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from . import copytask, manifold, optim, rnn
 
 __all__ = [
     "BenchRecord",
-    "ConvergenceTrace",
     "SparsityProfile",
     "bench_update",
     "convergence_metric",
@@ -154,19 +154,6 @@ def convergence_metric(alphas: np.ndarray, grad_norm_sq: np.ndarray) -> np.ndarr
     return num / den
 
 
-@dataclass
-class ConvergenceTrace:
-    alphas: np.ndarray
-    grad_norm_sq: np.ndarray
-    m: np.ndarray  # M_K per iteration
-
-    @classmethod
-    def from_arrays(cls, alphas: np.ndarray, grad_norm_sq: np.ndarray) -> "ConvergenceTrace":
-        return cls(np.asarray(alphas, dtype=np.float64),
-                   np.asarray(grad_norm_sq, dtype=np.float64),
-                   convergence_metric(alphas, grad_norm_sq))
-
-
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -229,11 +216,11 @@ def bench_update(
     gradients (Table-1 "optim.step()" analogue; the gradient content is
     random since it does not affect cost).  phase="backward_update"
     times BPTT plus the update on a real copy-task batch (desk-scale
-    sequence at the requested width).  No thread limit is applied:
-    numpy's OpenBLAS runs at its default thread count and scipy's as
-    `manifold`'s thread policy sets it (the counts in force go to
-    run_meta.json).  Setup and allocation
-    stay outside the timed region, and the same W is reused across reps
+    sequence at the requested width).  No thread limit is added: each
+    step takes the package's own holds (a small expm or BPTT runs with
+    its OpenBLAS copy at one thread and gives the count back), and the
+    counts in force go to run_meta.json.  Setup and allocation stay
+    outside the timed region, and the same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
     flops field is the optimizer's analytic W-path count, not measured.
     """
@@ -248,7 +235,7 @@ def bench_update(
         raise ValueError(f"need reps >= {BENCH_MIN_REPS} "
                          f"and warmup >= {BENCH_MIN_WARMUP}")
     rng = np.random.default_rng(seed)
-    task = copytask.CopyTaskConfig(alphabet=9, copy_len=5, lag=100, batch=batch)
+    task = dataclasses.replace(copytask.DESK, batch=batch)
     params = rnn.init_params(d, task.n_input_classes, task.n_output_classes, seed)
     state = optim.OptimizerState.for_rnn(
         params, optim.StepSchedule("fixed", 2e-4), rule=entry.rule(), seed=seed,

@@ -1,15 +1,19 @@
-"""Read and set the thread counts of the OpenBLAS copies in this process.
+"""Read the thread counts of the OpenBLAS copies in this process, and
+hold one copy at a given count for the length of a block.
 
 numpy and scipy wheels each bundle their own OpenBLAS (numpy's
 `libscipy_openblas64_`, scipy's `libscipy_openblas`), and each copy runs
-its own thread pool.  This module finds the copies that are already
-loaded (from /proc/self/maps) and talks to them through ctypes, with no
-dependency beyond the standard library.
+its own thread pool.  This module finds the copies that are loaded
+(from /proc/self/maps, once per process) and talks to them through
+ctypes, with no dependency beyond the standard library.
+
+The package's one thread rule: a copy is held at one thread for the
+length of a small call, then given back the count it had.  Nothing here
+changes a count beyond the block that asked for it.
 
 Where no OpenBLAS copy is found (MKL or Accelerate builds, or a system
 without /proc) every function here does nothing: `thread_counts` returns
-an empty dict, `set_threads` returns False and `held_threads` leaves
-the count alone.
+an empty dict and `held_threads` leaves the count alone.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import os
 from pathlib import Path
 
-__all__ = ["held_threads", "set_threads", "thread_counts"]
+__all__ = ["held_threads", "thread_counts"]
 
 # (get, set) symbol pairs, tried in order; scipy-openblas wheels use the
 # prefixed names, other builds the plain ones, ILP64 builds add "64_"
@@ -39,9 +43,13 @@ def _owner(path: Path) -> str | None:
     return None
 
 
+@functools.cache
 def _loaded_openblas() -> dict[str, tuple]:
     """(get, set) functions of each loaded OpenBLAS copy, keyed by
-    owning package (else file name)."""
+    owning package (else file name).  Found on the first call only: the
+    lookup reads /proc/self/maps and opens each library (about 2 ms),
+    while a get or set through the handles takes under a microsecond.
+    A copy loaded after the first call is not seen."""
     try:
         with open("/proc/self/maps") as fh:
             # the last field is the mapped file's path (or the inode)
@@ -76,29 +84,6 @@ def thread_counts() -> dict[str, int]:
     return {key: get_fn() for key, (get_fn, _) in _loaded_openblas().items()}
 
 
-def set_threads(owner: str, n: int) -> bool:
-    """Set the thread count of the OpenBLAS copy keyed `owner`.
-
-    Returns False, changing nothing, when that copy is not loaded.
-    """
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    entry = _loaded_openblas().get(owner)
-    if entry is None:
-        return False
-    entry[1](n)
-    return True
-
-
-@functools.cache
-def _cached_handles(owner: str) -> tuple | None:
-    """(get, set) of the copy keyed `owner`, found on the first call
-    only: the lookup reads /proc/self/maps and opens the library (about
-    2 ms), while a get or set through the handles takes under a
-    microsecond.  A copy loaded after the first call is not seen."""
-    return _loaded_openblas().get(owner)
-
-
 @contextlib.contextmanager
 def held_threads(owner: str, n: int):
     """Run the block with the OpenBLAS copy keyed `owner` at `n`
@@ -106,7 +91,7 @@ def held_threads(owner: str, n: int):
     wrap a single call; does nothing when that copy is not loaded."""
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
-    handles = _cached_handles(owner)
+    handles = _loaded_openblas().get(owner)
     if handles is None:
         yield
         return

@@ -109,8 +109,8 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 _KEY_TO_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
 
 _PRESETS = {
-    "paper": {"alphabet": 9, "copy_len": 10, "lag": 1000, "batch": 128, "d": 190},
-    "desk": {"alphabet": 9, "copy_len": 5, "lag": 100, "batch": 32, "d": 64},
+    "paper": {**dataclasses.asdict(copytask.PAPER), "d": 190},
+    "desk": {**dataclasses.asdict(copytask.DESK), "d": 64},
     "custom": {},
 }
 
@@ -298,8 +298,6 @@ class RunDir:
 
     def finish(self, status: str, **extra) -> None:
         self.meta.update(extra)
-        # matrix_expm's thread policy may have changed scipy's count
-        self.meta["machine"]["openblas_threads"] = blas.thread_counts()
         self.meta["status"] = status
         self.meta["ended_unix"] = time.time()
         self._write_meta()

@@ -29,28 +29,23 @@ analytic flop count of each optimizer's W update is in
 
 Thread policy.  numpy and scipy wheels each bundle an OpenBLAS copy with
 its own thread pool.  The only scipy call in this package is the
-`scipy.linalg.expm` inside `matrix_expm`; after it runs, the idle
-workers of scipy's pool spin and take CPUs from numpy's pool, so the
+`scipy.linalg.expm` inside `matrix_expm`.  Below EXPM_THREADED_MIN_D it
+runs with scipy's copy held at one thread, which is given back its count
+on return (`orthocd.blas.held_threads`): otherwise the idle workers of
+scipy's pool spin after the call and take CPUs from numpy's pool, and the
 numpy calls that follow slow down several-fold on a machine with few
 cores (on 2 vCPUs at d=190: `random_orthogonal` 23 -> 5 ms, `exp_map`
-35 -> 8 ms once scipy's pool is held at one thread).  `matrix_expm`
-therefore holds scipy's OpenBLAS copy at one thread below
-EXPM_THREADED_MIN_D.  From that width up a single expm runs long enough
-that its threads gain more than the spinning costs (the dense step
-measured on 2 vCPUs: d=768 254 -> 231 ms with one thread, d=896 even,
-d=1024 450 -> 476 ms), so there scipy's copy runs at the count it had
-before this module first changed it.  The count is set only when that
-choice changes, so a run at one width sets it once; setting and
-restoring it around every call would wake the pool every time (see
-`orthocd.blas`).  numpy's copy keeps its default count here; `rnn`
-holds it at one thread only for the length of a small BPTT.  Where
-scipy's copy is not found (a shared or non-OpenBLAS BLAS) nothing is
-changed.
+35 -> 8 ms with scipy's copy at one thread).  From that width up a
+single expm runs long enough that its threads gain more than the
+spinning costs (the dense step measured on 2 vCPUs: d=768 254 -> 231 ms
+with one thread, d=896 even, d=1024 450 -> 476 ms), so there it runs at
+the count in force.  numpy's copy is held the same way, by `rnn`, for
+the length of a small BPTT.  Where scipy's copy is not found (a shared
+or non-OpenBLAS BLAS) nothing is changed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -363,21 +358,6 @@ def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 # exponential map and Givens shortcut
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _scipy_blas_threads_before() -> int | None:
-    """scipy's OpenBLAS thread count before the thread policy changes it."""
-    return blas.thread_counts().get("scipy")
-
-
-@functools.lru_cache(maxsize=1)
-def _apply_thread_policy(threaded: bool) -> None:
-    """Set scipy's OpenBLAS thread count (see the module docstring); the
-    one-entry cache makes repeated calls with the same choice free."""
-    before = _scipy_blas_threads_before()
-    if before is not None:
-        blas.set_threads("scipy", before if threaded else 1)
-
-
 def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
@@ -390,10 +370,11 @@ def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     defect = float(np.linalg.norm(a + a.T))
     if defect > tol:
         raise ValueError(f"input not skew-symmetric: ||A + A^T||_F = {defect:.3e}")
-    d = a.shape[0]
     s = (a - a.T) / 2.0  # exact for skew input, repairs rounding otherwise
-    _apply_thread_policy(d >= EXPM_THREADED_MIN_D)
-    return scipy.linalg.expm(s)
+    if a.shape[0] >= EXPM_THREADED_MIN_D:
+        return scipy.linalg.expm(s)
+    with blas.held_threads("scipy", 1):
+        return scipy.linalg.expm(s)
 
 
 def exp_map(w: np.ndarray, xi: TangentVector | np.ndarray, tol: float = 1e-10) -> np.ndarray:

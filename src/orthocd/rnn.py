@@ -17,17 +17,19 @@ only the hidden states, and its memory peak is about two (T, B, d)
 float64 arrays.  All math is in float64 and every function here is
 deterministic, so a fixed seed reproduces runs bitwise.
 
-Thread policy.  `forward` and `backward` run with numpy's OpenBLAS copy
-held at one thread when the dW product, T*B*d*d multiply-adds, is below
-BPTT_THREADED_MIN_WORK, and put its count back on return.  Below that
-size the products are short and a second thread gains little (backward
-on 2 vCPUs, idle host, one thread -> two: d=64, T=110, B=32 16.2 ->
-15.4 ms; d=96 25.6 -> 22.5 ms).  But a threaded product waits for its
-second thread whenever the other vCPU is busy: with one busy process
-beside it, a training iteration at that d=64 size took 37 ms with two
-threads and 18 ms with one, so run times scattered with the host's
-load.  From that size up the threads pay (d=128: 34.6 -> 28.7 ms;
-d=1024, T=20, B=8: 65.6 -> 43.6 ms) and the count is left as it is.
+Thread policy.  As everywhere in the package (see `orthocd.blas`), an
+OpenBLAS copy is held at one thread for the length of a small call, then
+given back its count.  Here `forward` and `backward` hold numpy's copy
+when the dW product, T*B*d*d multiply-adds, is below
+BPTT_THREADED_MIN_WORK.  Below that size the products are short and a
+second thread gains little (backward on 2 vCPUs, idle host, one thread
+-> two: d=64, T=110, B=32 16.2 -> 15.4 ms; d=96 25.6 -> 22.5 ms).  But
+a threaded product waits for its second thread whenever the other vCPU
+is busy: with one busy process beside it, a training iteration at that
+d=64 size took 37 ms with two threads and 18 ms with one, so run times
+scattered with the host's load.  From that size up the threads pay
+(d=128: 34.6 -> 28.7 ms; d=1024, T=20, B=8: 65.6 -> 43.6 ms) and the
+count is left as it is.
 """
 
 from __future__ import annotations

@@ -205,11 +205,6 @@ def test_convergence_metric_validation():
         an.convergence_metric(np.ones(3), np.ones(4))
 
 
-def test_convergence_trace_wiring():
-    tr = an.ConvergenceTrace.from_arrays([1.0, 1.0], [4.0, 2.0])
-    assert np.allclose(tr.m, [4.0, 3.0])
-
-
 # ---------------------------------------------------------------------------
 # benchmarks
 # ---------------------------------------------------------------------------

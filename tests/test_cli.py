@@ -152,11 +152,17 @@ def test_block_keys_reach_only_block_gs(tmp_path, monkeypatch):
     assert not (tmp_path / "refused").exists()
 
 
-def test_run_meta_records_openblas_threads(tmp_path, monkeypatch):
-    assert run_main(["train", *TINY], tmp_path, monkeypatch) == 0
+@pytest.mark.parametrize("optimizer", ["srcd-gs", "srgd"])
+def test_run_meta_records_openblas_threads(tmp_path, monkeypatch, optimizer):
+    # a run leaves every OpenBLAS count as it found it (srgd's expm and
+    # the BPTT hold theirs only for the call) and records that count
+    before = blas.thread_counts()
+    assert run_main(["train", *TINY, "--optimizer", optimizer],
+                    tmp_path, monkeypatch) == 0
     (rundir,) = (tmp_path / "runs").iterdir()
     meta = json.loads((rundir / "run_meta.json").read_text())
-    assert meta["machine"]["openblas_threads"] == blas.thread_counts()
+    assert blas.thread_counts() == before
+    assert meta["machine"]["openblas_threads"] == before
 
 
 def test_train_bitwise_deterministic(tmp_path, monkeypatch):

@@ -1,10 +1,8 @@
-import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from orthocd import blas
 from orthocd import manifold as mf
@@ -211,40 +209,25 @@ def test_matrix_expm_rejects_non_skew():
         mf.matrix_expm(np.eye(3))
 
 
-def _default_openblas_threads():
-    """Thread counts of a fresh process that loads numpy and scipy.linalg
-    but not orthocd, read through orthocd/blas.py loaded by file path."""
-    code = (
-        "import importlib.util, json, numpy, scipy.linalg\n"
-        f"spec = importlib.util.spec_from_file_location('probe', {blas.__file__!r})\n"
-        "probe = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(probe)\n"
-        "print(json.dumps(probe.thread_counts()))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    return json.loads(out.stdout)
+@pytest.mark.skipif("scipy" not in blas.thread_counts(),
+                    reason="scipy's OpenBLAS copy not found")
+def test_matrix_expm_holds_scipy_openblas_at_one_thread(monkeypatch):
+    # below EXPM_THREADED_MIN_D expm runs with scipy's OpenBLAS at one
+    # thread, from that width up at the count in force; the count is put
+    # back on return
+    before = blas.thread_counts()
+    seen = []
+    expm = scipy.linalg.expm
 
+    def spy(a):
+        seen.append(blas.thread_counts()["scipy"])
+        return expm(a)
 
-@pytest.mark.skipif(not {"numpy", "scipy"} <= blas.thread_counts().keys(),
-                    reason="no separate numpy and scipy OpenBLAS copies found")
-def test_matrix_expm_holds_scipy_openblas_at_one_thread():
-    # scipy's pool serves only expm and is held at one thread below
-    # EXPM_THREADED_MIN_D so its idle workers do not spin against numpy's
-    # pool; from that width up it runs at its default; numpy's keeps its own
-    default = _default_openblas_threads()
-    mf.matrix_expm(np.zeros((50, 50)))
-    assert blas.thread_counts() == {**default, "scipy": 1}
-    d = mf.EXPM_THREADED_MIN_D
-    mf.matrix_expm(np.zeros((d, d)))
-    assert blas.thread_counts() == default
-    mf.matrix_expm(np.zeros((50, 50)))
-    assert blas.thread_counts() == {**default, "scipy": 1}
-
-
-def test_blas_set_threads_validation():
-    assert blas.set_threads("no-such-blas", 1) is False
-    with pytest.raises(ValueError):
-        blas.set_threads("scipy", 0)
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    for d in (50, mf.EXPM_THREADED_MIN_D, 50):
+        mf.matrix_expm(np.zeros((d, d)))
+        assert blas.thread_counts() == before
+    assert seen == [1, before["scipy"], 1]
 
 
 def test_blas_held_threads_restores_the_count():
