@@ -407,14 +407,14 @@ def cmd_train(cfg: ExperimentConfig, rundir: RunDir) -> None:
     eval_rng = np.random.default_rng([cfg.seed, 3])
     data = copytask.generate_batch(result.task, eval_rng, mask_mode=cfg.mask)
     x1h = copytask.one_hot(data.inputs, result.task.n_input_classes)
-    trace = rnn.forward(result.params, x1h)
-    eval_loss = rnn.loss(trace.logits, data.targets, data.mask)
+    logits = rnn.logits(result.params, x1h)
+    eval_loss = rnn.loss(logits, data.targets, data.mask)
     rundir.write_json("summary.json", {
         "initial_loss": result.losses[0] if cfg.iterations else None,
         "final_loss": result.losses[-1] if cfg.iterations else None,
         "eval_loss": eval_loss,
         "baseline_loss": copytask.baseline_loss(result.task),
-        "accuracy": copytask.accuracy(trace.logits, data, result.task),
+        "accuracy": copytask.accuracy(logits, data, result.task),
         "wall_time_s": result.wall_s,
         "iterations": cfg.iterations,
     })

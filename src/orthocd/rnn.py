@@ -2,33 +2,43 @@
 
     h(t) = phi(W_in x(t) + W h(t-1)),    y(t) = W_out h(t) + b_out,
 
-with phi the modReLU activation.  `backward` accumulates exact BPTT
-gradients for every parameter block; the gradient for W is the raw
-Euclidean one (projection onto the tangent space is the geometry
-module's job).
+with phi the modReLU activation (Arjovsky, Shah & Bengio, ICML 2016).
+`backward` accumulates exact BPTT gradients for every parameter block;
+the gradient for W is the raw Euclidean one (projection onto the
+tangent space is the geometry module's job).
 
 The public API is batch-first: inputs (B, T, d_in), targets and masks
 (B, T), ForwardTrace fields (B, T, .).  A 2D input (T, d_in) is
 treated as a batch of one.  Inside, one recurrence (`_recur`) runs
 time-major on contiguous (T, B, d) arrays, so every per-step slice is
 contiguous; the trace fields are transposed views of them.  `forward`
-stores hidden states, preactivations and logits; `backward` stores
-only the hidden states, and its memory peak is about two (T, B, d)
-float64 arrays.  All math is in float64 and every function here is
-deterministic, so a fixed seed reproduces runs bitwise.
+stores hidden states, preactivations and logits.  `logits` runs the
+same evaluation, bitwise, but stores no preactivations: it holds the
+(T, B, d) hidden states only until the logits are formed.  `backward`
+stores only the hidden states, and its memory peak is about two
+(T, B, d) float64 arrays.  All math is in float64 and every function
+here is deterministic, so a fixed seed reproduces runs bitwise.
+
+modReLU step.  `_recur` writes sign(pre) into a (B, d) scratch buffer
+and multiplies it by the magnitude into `pre`, because on numpy 2.4.6
+an in-place np.sign over float64 is 6-8x slower than one into a
+separate array (per call on fresh random data, 2 vCPUs: 170 -> 21 us
+at (B, d) = (128, 190), 14 -> 2.3 us at (32, 64)).  np.copysign
+would need no buffer, but where a preactivation is exactly 0 and
+b_mod > 0 it gives +-b instead of modReLU's 0.
 
 Thread policy.  As everywhere in the package (see `orthocd.blas`), an
 OpenBLAS copy is held at one thread for the length of a small call, then
-given back its count.  Here `forward` and `backward` hold numpy's copy
-when the dW product, T*B*d*d multiply-adds, is below
+given back its count.  Here `forward`, `logits` and `backward` hold
+numpy's copy when the dW product, T*B*d*d multiply-adds, is below
 BPTT_THREADED_MIN_WORK.  Below that size the products are short and a
 second thread gains little (backward on 2 vCPUs, idle host, one thread
--> two: d=64, T=110, B=32 16.2 -> 15.4 ms; d=96 25.6 -> 22.5 ms).  But
+-> two: d=64, T=110, B=32 14.6 -> 13.6 ms; d=96 20.9 -> 19.4 ms).  But
 a threaded product waits for its second thread whenever the other vCPU
 is busy: with one busy process beside it, a training iteration at that
-d=64 size took 37 ms with two threads and 18 ms with one, so run times
+d=64 size took 33 ms with two threads and 16 ms with one, so run times
 scattered with the host's load.  From that size up the threads pay
-(d=128: 34.6 -> 28.7 ms; d=1024, T=20, B=8: 65.6 -> 43.6 ms) and the
+(d=128: 31.1 -> 26.5 ms; d=1024, T=20, B=8: 65.2 -> 44.6 ms) and the
 count is left as it is.
 """
 
@@ -51,6 +61,7 @@ __all__ = [
     "forward",
     "init_params",
     "load_checkpoint",
+    "logits",
     "loss",
     "modrelu",
     "save_checkpoint",
@@ -183,20 +194,39 @@ def _recur(
     np.matmul(x.reshape(-1, d_in), params.w_in.T, out=hidden.reshape(-1, d))
     w_t = params.w.T
     mag = np.empty((bsz, d))
+    sgn = np.empty((bsz, d))  # np.sign in place is slow: module docstring
     for t in range(steps):
         pre = hidden[t]
         if h is not None:
             pre += h @ w_t
         if preact is not None:
             preact[t] = pre
-        if activation == "modrelu":  # modrelu(pre, b_mod), in place
+        if activation == "modrelu":  # modrelu(pre, b_mod), into pre
             np.abs(pre, out=mag)
             mag += params.b_mod
             np.maximum(mag, 0.0, out=mag)
-            np.sign(pre, out=pre)
-            pre *= mag
+            np.sign(pre, out=sgn)
+            np.multiply(sgn, mag, out=pre)
         h = pre
     return x, hidden
+
+
+def _evaluate(
+    params: RnnParams,
+    inputs: np.ndarray,
+    h0: np.ndarray | None,
+    activation: str,
+    keep_preact: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(hidden, preact or None, logits), time-major: the one evaluation
+    behind `forward` and `logits`."""
+    inputs = _as_batched(inputs)
+    bsz, steps, _ = inputs.shape
+    preact = np.empty((steps, bsz, params.d)) if keep_preact else None
+    with _thread_policy(params, bsz, steps):
+        _, hidden = _recur(params, inputs, h0, activation, preact)
+        out = hidden @ params.w_out.T + params.b_out
+    return hidden, preact, out
 
 
 def forward(
@@ -212,15 +242,21 @@ def forward(
     hidden-state norm exactly in that mode).  The trace fields are
     (B, T, .) views of time-major arrays.
     """
-    inputs = _as_batched(inputs)
-    bsz, steps, _ = inputs.shape
-    preact = np.empty((steps, bsz, params.d))
-    with _thread_policy(params, bsz, steps):
-        _, hidden = _recur(params, inputs, h0, activation, preact)
-        logits = hidden @ params.w_out.T + params.b_out
+    hidden, preact, out = _evaluate(params, inputs, h0, activation, keep_preact=True)
     return ForwardTrace(hidden=hidden.transpose(1, 0, 2),
                         preact=preact.transpose(1, 0, 2),
-                        logits=logits.transpose(1, 0, 2))
+                        logits=out.transpose(1, 0, 2))
+
+
+def logits(
+    params: RnnParams,
+    inputs: np.ndarray,
+    h0: np.ndarray | None = None,
+    activation: str = "modrelu",
+) -> np.ndarray:
+    """The (B, T, d_out) logits of `forward`, bitwise, without storing
+    the preactivations (a (B, T, d_out) view of a time-major array)."""
+    return _evaluate(params, inputs, h0, activation, keep_preact=False)[2].transpose(1, 0, 2)
 
 
 def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

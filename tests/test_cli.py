@@ -130,6 +130,23 @@ def test_train_writes_artifacts(tmp_path, monkeypatch):
     assert cfg.d == 8 and cfg.seed == 3 and cfg.iterations == 6
 
 
+def test_train_eval_matches_forward(tmp_path, monkeypatch):
+    # the eval in summary.json is the trained network's forward pass on
+    # the [seed, 3] batch
+    out = tmp_path / "run"
+    assert run_main(["train", *TINY, "--seed", "4", "--out", str(out)],
+                    tmp_path, monkeypatch) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cfg = cli.parse_config(str(out / "config.ini"))
+    params, _ = rnn.load_checkpoint(out / "checkpoint.bin")
+    task = cli._task_from(cfg)
+    data = copytask.generate_batch(task, np.random.default_rng([cfg.seed, 3]),
+                                    mask_mode=cfg.mask)
+    trace = rnn.forward(params, copytask.one_hot(data.inputs, task.n_input_classes))
+    assert summary["eval_loss"] == rnn.loss(trace.logits, data.targets, data.mask)
+    assert summary["accuracy"] == copytask.accuracy(trace.logits, data, task)
+
+
 @pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
 def test_train_every_optimizer(optimizer, tmp_path, monkeypatch):
     out = tmp_path / "run"

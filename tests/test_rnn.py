@@ -83,6 +83,45 @@ def test_forward_h0_and_validation():
         rnn.forward(params, inputs, activation="relu")
 
 
+def _batch_with_zero_preactivations():
+    # sequence 0 is all zeros and h0 is None, so every one of its
+    # preactivations is exactly 0; b_mod > 0 on half the units, where a
+    # copysign-style modReLU would give +-b instead of modReLU's 0
+    rng = np.random.default_rng(40)
+    params = make_params(d=8, seed=41)
+    params.b_mod[::2] = 0.25
+    params.b_out[:] = rng.standard_normal(params.d_out)
+    inputs = rng.standard_normal((3, 9, params.d_in))
+    inputs[0] = 0.0
+    return params, inputs, rng.integers(0, params.d_out, (3, 9))
+
+
+def test_forward_hidden_is_modrelu_of_preact_bitwise():
+    params, inputs, targets = _batch_with_zero_preactivations()
+    trace = rnn.forward(params, inputs)
+    want = np.stack([rnn.modrelu(trace.preact[:, t], params.b_mod)
+                     for t in range(inputs.shape[1])], axis=1)
+    assert np.array_equal(trace.hidden, want)
+    assert np.array_equal(np.signbit(trace.hidden), np.signbit(want))
+    assert np.count_nonzero(trace.preact == 0.0) >= 9 * params.d
+    ident = rnn.forward(params, inputs, activation="identity")
+    assert np.array_equal(ident.hidden, ident.preact)
+    value, _ = rnn.backward(params, inputs, targets)
+    assert value == rnn.loss(trace.logits, targets)
+
+
+def test_logits_equal_forward_logits_bitwise():
+    rng = np.random.default_rng(42)
+    params, inputs, _ = _batch_with_zero_preactivations()
+    h0 = rng.standard_normal(params.d)
+    for activation in ("modrelu", "identity"):
+        for x, start in ((inputs, None), (inputs, h0), (inputs[2], None), (inputs[2], h0)):
+            got = rnn.logits(params, x, h0=start, activation=activation)
+            want = rnn.forward(params, x, h0=start, activation=activation).logits
+            assert got.shape == want.shape == (len(x) if x.ndim == 3 else 1, 9, params.d_out)
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -283,8 +322,9 @@ def test_bptt_thread_policy(monkeypatch, d, bsz, steps, held):
     rng = np.random.default_rng(27)
     inputs = rng.standard_normal((bsz, steps, 3))
     rnn.forward(params, inputs)
+    rnn.logits(params, inputs)
     rnn.backward(params, inputs, rng.integers(0, 2, (bsz, steps)))
-    assert seen == [1 if held else before["numpy"]] * 2
+    assert seen == [1 if held else before["numpy"]] * 3
     assert blas.thread_counts() == before
 
 
