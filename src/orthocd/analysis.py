@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import copytask, manifold, optim, rnn
+from . import copytask, optim, rnn
 
 __all__ = [
     "BenchRecord",
@@ -175,28 +175,11 @@ BENCH_MIN_REPS = 30
 BENCH_MIN_WARMUP = 5
 
 
-def _srcd_u_expm_step(state: optim.OptimizerState, grads) -> optim.OptimizerState:
-    # single-coordinate update routed through the dense exponential,
-    # the O(d^3) path the Givens shortcut replaces
-    alpha = optim.schedule_step(state.schedule, state.k)
-    for name, arr in state.x.items():
-        arr -= alpha * grads.x_blocks()[name]
-    i = optim.select_uniform(state.rng, manifold.num_coords(state.w.shape[0]))
-    theta = manifold.partial_derivative(state.w, grads.w, i)
-    eta = manifold.basis_tangent(state.w, i)
-    state.w[...] = manifold.exp_map(state.w, -alpha * theta * eta.value)
-    state.k += 1
-    return state
-
-
-# the training optimizers plus two bench-only baselines
+# the training optimizers plus one bench-only baseline: a Euclidean
+# step whose W leaves O(d), so it is never trained and has no W geometry
 _BENCHED: dict[str, optim.Optimizer] = {
-    # Euclidean step, W leaves O(d), so it is never trained: no W geometry
     "sgd": optim.Optimizer(None, optim.sgd_step, lambda d: 0),
     **optim.OPTIMIZERS,
-    # one partial 4d, then exp_map 4d^3 with its Pade-13 expm 26d^3
-    "srcd-u-expm": optim.Optimizer("uniform", _srcd_u_expm_step,
-                                   lambda d: 4 * d + 30 * d**3),
 }
 BENCH_OPTIMIZERS = tuple(_BENCHED)
 

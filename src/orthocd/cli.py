@@ -70,7 +70,6 @@ class ExperimentConfig:
     # [optimizer]
     optimizer: str = "srcd-gs"  # a name in optim.OPTIMIZERS
     block_fraction: float = 0.005
-    disjoint: bool = True
     reorth_every: int = 1000
     # [schedule]
     schedule: str = "fixed"     # fixed | polynomial
@@ -97,7 +96,7 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "task": ("preset", "alphabet", "copy_len", "lag", "batch", "d", "mask"),
-    "optimizer": ("optimizer", "block_fraction", "disjoint", "reorth_every"),
+    "optimizer": ("optimizer", "block_fraction", "reorth_every"),
     "schedule": ("schedule", "alpha0", "power", "offset", "robbins_monro"),
     "run": ("iterations", "seed", "out"),
     "convergence": ("conv_d", "noise_std", "conv_seeds", "x_dim"),
@@ -191,7 +190,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     try:
         _task_from(cfg)
         _schedule_from(cfg)
-        optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction, cfg.disjoint)
+        optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -354,7 +353,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     schedule = _schedule_from(cfg)
     opt = optim.OPTIMIZERS[cfg.optimizer]
     state = optim.OptimizerState.for_rnn(
-        params, schedule, rule=opt.rule(cfg.block_fraction, cfg.disjoint),
+        params, schedule, rule=opt.rule(cfg.block_fraction),
         seed=[cfg.seed, 2], reorth_every=cfg.reorth_every)
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
@@ -490,6 +489,8 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
 def cmd_convergence(cfg: ExperimentConfig, rundir: RunDir) -> None:
     if not cfg.robbins_monro:
         raise ConfigError("convergence requires a schedule with robbins_monro = true")
+    if cfg.iterations < 1:
+        raise ConfigError("convergence needs iterations >= 1")
     checkpoints = [c for c in (10**2, 10**3, 10**4, 10**5) if c <= cfg.iterations]
     summary: dict = {"checkpoints": checkpoints, "seeds": {}}
     ratios = []

@@ -18,7 +18,6 @@ closed form is `baseline_loss`, the flat line training must beat.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "PAPER",
     "accuracy",
     "baseline_loss",
-    "export_csv",
     "generate_batch",
     "one_hot",
 ]
@@ -136,14 +134,3 @@ def accuracy(logits: np.ndarray, batch: CopyTaskBatch, cfg: CopyTaskConfig) -> f
     pred = logits[:, -k:, :].argmax(axis=-1)
     return float((pred == batch.targets[:, -k:]).mean())
 
-
-def export_csv(batch: CopyTaskBatch, path) -> None:
-    """One row per sequence: b, then inputs, then targets."""
-    t_total = batch.inputs.shape[1]
-    header = (["b"] + [f"in_{t}" for t in range(t_total)]
-              + [f"tgt_{t}" for t in range(t_total)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for b in range(batch.inputs.shape[0]):
-            writer.writerow([b] + batch.inputs[b].tolist() + batch.targets[b].tolist())

@@ -46,6 +46,7 @@ or non-OpenBLAS BLAS) nothing is changed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -296,15 +297,14 @@ def partial_derivative(w: np.ndarray, g: np.ndarray, i: int) -> float:
     return float(v)
 
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = _TRIU_CACHE.get(d)
-    if idx is None:
-        idx = np.triu_indices(d, k=1)
-        _TRIU_CACHE[d] = idx
-    return idx
+    """0-based (rows, cols) of the strict upper triangle in row-major
+    order: coordinate i is the pair (rows[i-1] + 1, cols[i-1] + 1).
+    Every caller shares the cached arrays, so they are read-only."""
+    rows, cols = np.triu_indices(d, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _antisym(a: np.ndarray) -> np.ndarray:

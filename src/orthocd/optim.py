@@ -10,9 +10,10 @@ X <- X - alpha * g_X.  They differ on the orthogonal block:
       W <- givens_update(W, i, -alpha * theta_i) (O(d) per coordinate).
 
 Coordinate choice is uniform i.i.d., Gauss-Southwell (largest
-|partial|), or block Gauss-Southwell with optionally column-disjoint
-pairs.  A plain Euclidean `sgd_step` (no orthogonality enforcement) is
-included as the unconstrained baseline.
+|partial|), or block Gauss-Southwell over column-disjoint pairs.  Every
+coordinate step moves W by Givens rotations alone, never through a
+matrix exponential.  A plain Euclidean `sgd_step` (no orthogonality
+enforcement) is included as the unconstrained baseline.
 
 Every step on W except the uniform one reads S = W^T G - G^T W
 (`manifold.skew_grad`): srgd uses S/2, Gauss-Southwell takes argmax
@@ -115,7 +116,6 @@ def schedule_step(schedule: StepSchedule, k: int) -> float:
 class SelectionRule:
     kind: str = "uniform"
     block_fraction: float = 0.005  # block_gs only
-    disjoint: bool = True          # block_gs only
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "gauss_southwell", "block_gs"):
@@ -294,10 +294,8 @@ def srcd_step(state: OptimizerState, grads) -> OptimizerState:
         state.last_coords = (i,)
     else:  # block_gs
         v = manifold.skew_partials(_skew(w, grads))
-        coords = select_block_gs(v, rule.block_size(n_coords), d,
-                                 disjoint=rule.disjoint)
-        thetas = [-alpha * v[i - 1] for i in coords]
-        apply_block(w, coords, thetas, disjoint=rule.disjoint, out=w)
+        coords = select_block_gs(v, rule.block_size(n_coords), d)
+        apply_block(w, coords, [-alpha * v[i - 1] for i in coords], out=w)
         state.last_coords = tuple(coords)
     state.k += 1
     return state
@@ -314,13 +312,13 @@ class Optimizer:
     step: Callable[[OptimizerState, object], OptimizerState]
     w_flops: Callable[[int], int]
 
-    def rule(self, block_fraction: float = SelectionRule.block_fraction,
-             disjoint: bool = SelectionRule.disjoint) -> SelectionRule | None:
-        """The selection rule; only block_gs reads the block keys."""
+    def rule(self, block_fraction: float = SelectionRule.block_fraction
+             ) -> SelectionRule | None:
+        """The selection rule; only block_gs reads block_fraction."""
         if self.rule_kind is None:
             return None
         if self.rule_kind == "block_gs":
-            return SelectionRule("block_gs", block_fraction, disjoint)
+            return SelectionRule("block_gs", block_fraction)
         return SelectionRule(self.rule_kind)
 
 
@@ -365,41 +363,45 @@ def select_gauss_southwell(partials: np.ndarray) -> int:
     return int(np.argmax(np.abs(v))) + 1
 
 
-def select_block_gs(partials: np.ndarray, block_size: int, d: int,
-                    disjoint: bool = True) -> list[int]:
-    """Top coordinates by |v_i|, in descending order.
+def select_block_gs(partials: np.ndarray, block_size: int, d: int) -> list[int]:
+    """Top coordinates by |v_i| that share no column, in descending
+    order; ties go to the smaller coordinate.
 
-    With disjoint=True, coordinates sharing a column with an earlier
-    pick are skipped (at most floor(d/2) disjoint pairs exist), so the
-    result may be shorter than block_size.
+    A coordinate sharing a column with an earlier pick is skipped.  At
+    most d // 2 such pairs exist, so the walk stops at
+    min(block_size, d // 2) picks and the result may be shorter than
+    block_size.  Positions map to column pairs through manifold's
+    row-major triangle index, the one skew_partials gathers with.
     """
     v = np.asarray(partials)
-    if not (1 <= block_size <= v.size):
-        raise ValueError(f"block_size {block_size} out of range 1..{v.size}")
+    n_coords = manifold.num_coords(d)
+    if v.shape != (n_coords,):
+        raise ValueError(f"expected {n_coords} partials for d={d}, "
+                         f"got shape {v.shape}")
+    if not (1 <= block_size <= n_coords):
+        raise ValueError(f"block_size {block_size} out of range 1..{n_coords}")
     order = np.argsort(-np.abs(v), kind="stable")
-    if not disjoint:
-        return [int(i) + 1 for i in order[:block_size]]
+    rows, cols = manifold._triu_indices(d)
+    picks = min(block_size, d // 2)
     chosen: list[int] = []
-    used = np.zeros(d + 1, dtype=bool)
-    for i0 in order:
-        j, l = manifold.coord_pair(int(i0) + 1, d)
-        if used[j] or used[l]:
+    used = [False] * d
+    for i0, j0, l0 in zip(order.tolist(), rows[order].tolist(),
+                          cols[order].tolist()):
+        if used[j0] or used[l0]:
             continue
-        used[j] = used[l] = True
-        chosen.append(int(i0) + 1)
-        if len(chosen) == block_size:
+        used[j0] = used[l0] = True
+        chosen.append(i0 + 1)
+        if len(chosen) == picks:
             break
     return chosen
 
 
-def apply_block(w: np.ndarray, coords, thetas, disjoint: bool = True,
+def apply_block(w: np.ndarray, coords, thetas,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a block of coordinate steps.
+    """Apply a block of coordinate steps as Givens rotations.
 
-    disjoint=True composes sequential Givens rotations (order does not
-    matter, the pairs commute; overlapping pairs raise).  disjoint=False
-    takes a single geodesic step along sum_i theta_i eta_i, through the
-    dense matrix exponential.
+    The pairs must share no column (overlapping pairs raise); such
+    rotations commute, so their order does not matter.
     """
     coords = list(coords)
     thetas = list(thetas)
@@ -407,30 +409,15 @@ def apply_block(w: np.ndarray, coords, thetas, disjoint: bool = True,
         raise ValueError("coords and thetas differ in length")
     w = np.asarray(w, dtype=np.float64)
     d = w.shape[0]
-    if disjoint:
-        pairs = [manifold.coord_pair(i, d) for i in coords]
-        cols = [c for p in pairs for c in p]
-        if len(set(cols)) != len(cols):
-            raise ValueError("overlapping column pairs with disjoint=True")
-        if out is None:
-            out = w.copy()
-        elif out is not w:
-            out[...] = w
-        for i, theta in zip(coords, thetas):
-            manifold.givens_update(out, i, theta, out=out)
-        return out
-    # single exponential of the summed tangent direction:
-    # Exp_W(sum theta_i W H_i) = W expm(sum theta_i H_i)
-    omega = np.zeros((d, d))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i, theta in zip(coords, thetas):
-        j, l = manifold.coord_pair(i, d)
-        omega[j - 1, l - 1] += theta * inv_sqrt2
-        omega[l - 1, j - 1] -= theta * inv_sqrt2
-    result = w @ manifold.matrix_expm(omega)
+    cols = [c for i in coords for c in manifold.coord_pair(i, d)]
+    if len(set(cols)) != len(cols):
+        raise ValueError("overlapping column pairs")
     if out is None:
-        return result
-    out[...] = result
+        out = w.copy()
+    elif out is not w:
+        out[...] = w
+    for i, theta in zip(coords, thetas):
+        manifold.givens_update(out, i, theta, out=out)
     return out
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import signal
 import subprocess
 import sys
 import threading
 import time
+from configparser import ConfigParser
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,19 +91,36 @@ def test_config_error_cases(tmp_path):
 def test_bool_coercion():
     for raw, want in (("true", True), ("Yes", True), ("1", True),
                       ("false", False), ("off", False), ("0", False)):
-        cfg = cli.parse_config(overrides={"disjoint": raw})
-        assert cfg.disjoint is want
+        cfg = cli.parse_config(overrides={"schedule": "polynomial",
+                                          "robbins_monro": raw})
+        assert cfg.robbins_monro is want
     with pytest.raises(cli.ConfigError):
-        cli.parse_config(overrides={"disjoint": "maybe"})
+        cli.parse_config(overrides={"robbins_monro": "maybe"})
 
 
 def test_config_ini_round_trip(tmp_path):
     cfg = cli.parse_config(overrides={
         "preset": "custom", "d": "12", "alpha0": "0.125", "optimizer": "srgd",
-        "disjoint": "false", "bench_dims": "8,16"})
+        "schedule": "polynomial", "robbins_monro": "true", "bench_dims": "8,16"})
     path = tmp_path / "round.ini"
     path.write_text(cli.config_to_ini(cfg))
     assert cli.parse_config(str(path)) == cfg
+
+
+def test_readme_config_block_matches_the_config(tmp_path):
+    # the README's ini block, comments stripped, is a valid config that
+    # names every key, each in its own section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text("\n".join(line.split(";", 1)[0].rstrip()
+                              for line in block.splitlines()))
+    cli.parse_config(str(path))
+    parser = ConfigParser()
+    parser.read(path)
+    assert {s: tuple(parser[s]) for s in parser.sections()} == cli._SECTIONS
+    assert {k for s in parser.sections() for k in parser[s]} == \
+        {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +340,15 @@ def test_convergence_run(tmp_path, monkeypatch):
 def test_convergence_requires_robbins_monro(tmp_path, monkeypatch):
     assert run_main(["convergence", "--iterations", "10"],
                     tmp_path, monkeypatch) == 1
+
+
+def test_convergence_refuses_zero_iterations(tmp_path, monkeypatch):
+    args = [*CONV[:-2], "--iterations", "0"]
+    assert run_main(args, tmp_path, monkeypatch) == 1
+    (rundir,) = (tmp_path / "runs").iterdir()
+    meta = json.loads((rundir / "run_meta.json").read_text())
+    assert meta["status"] == "failed"
+    assert "iterations" in meta["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -144,19 +144,3 @@ def test_accuracy_counts_recall_positions_only():
     logits[0, -1] = 0.0
     logits[0, -1, (data.targets[0, -1] + 1) % cfg.n_output_classes] = 9.0
     assert ct.accuracy(logits, data, cfg) == pytest.approx(0.5)
-
-
-def test_export_csv_round_trip(tmp_path):
-    cfg = ct.CopyTaskConfig(alphabet=3, copy_len=2, lag=3, batch=4)
-    data = ct.generate_batch(cfg, rng=np.random.default_rng(6))
-    path = tmp_path / "batch.csv"
-    ct.export_csv(data, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 1 + cfg.batch
-    header = lines[0].split(",")
-    assert header[0] == "b"
-    assert len(header) == 1 + 2 * cfg.seq_len
-    row0 = [int(tok) for tok in lines[1].split(",")]
-    assert row0[0] == 0
-    assert np.array_equal(row0[1:1 + cfg.seq_len], data.inputs[0])
-    assert np.array_equal(row0[1 + cfg.seq_len:], data.targets[0])

@@ -122,6 +122,21 @@ def test_select_gauss_southwell():
         optim.select_gauss_southwell(np.array([]))
 
 
+def naive_block_gs(v, b, d):
+    # disjoint greedy over the sorted list, stopping only at b picks
+    order = sorted(range(v.size), key=lambda i: (-abs(v[i]), i))
+    used, want = set(), []
+    for i0 in order:
+        j, l = mf.coord_pair(i0 + 1, d)
+        if j in used or l in used:
+            continue
+        used.update((j, l))
+        want.append(i0 + 1)
+        if len(want) == b:
+            break
+    return want
+
+
 def test_select_block_gs_against_naive():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -129,28 +144,30 @@ def test_select_block_gs_against_naive():
         n = mf.num_coords(d)
         v = rng.standard_normal(n)
         b = int(rng.integers(1, min(n, 8) + 1))
-        # naive disjoint greedy over the sorted list
-        order = sorted(range(n), key=lambda i: (-abs(v[i]), i))
-        used, want = set(), []
-        for i0 in order:
-            j, l = mf.coord_pair(i0 + 1, d)
-            if j in used or l in used:
-                continue
-            used.update((j, l))
-            want.append(i0 + 1)
-            if len(want) == b:
-                break
-        assert optim.select_block_gs(v, b, d, disjoint=True) == want
-        # non-disjoint: plain top-b
-        top = [i + 1 for i in order[:b]]
-        assert optim.select_block_gs(v, b, d, disjoint=False) == top
+        assert optim.select_block_gs(v, b, d) == naive_block_gs(v, b, d)
+    # b >= d/2, where the walk stops at d // 2 picks, up to b = D; rounded
+    # magnitudes make exact ties
+    for d in (8, 9, 64):
+        n = mf.num_coords(d)
+        v = np.round(rng.standard_normal(n), 1)
+        bs = range(d // 2, n + 1) if d < 64 else (32, 33, 100, 1000, n - 1, n)
+        for b in bs:
+            assert optim.select_block_gs(v, b, d) == naive_block_gs(v, b, d)
+
+
+def test_select_block_gs_rejects_wrong_partials_length():
+    d = 8
+    n = mf.num_coords(d)
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="partials"):
+            optim.select_block_gs(np.ones(size), 1, d)
 
 
 def test_select_block_gs_never_shares_columns():
     rng = np.random.default_rng(2)
     d = 9
     v = rng.standard_normal(mf.num_coords(d))
-    coords = optim.select_block_gs(v, mf.num_coords(d), d, disjoint=True)
+    coords = optim.select_block_gs(v, mf.num_coords(d), d)
     cols = [c for i in coords for c in mf.coord_pair(i, d)]
     assert len(cols) == len(set(cols))
     assert len(coords) <= d // 2
@@ -163,7 +180,7 @@ def test_apply_block_disjoint_matches_sequential_and_expm():
     coords = [mf.coord_index(1, 2, d), mf.coord_index(3, 7, d),
               mf.coord_index(4, 6, d)]
     thetas = [0.4, -1.1, 0.8]
-    got = optim.apply_block(w, coords, thetas, disjoint=True)
+    got = optim.apply_block(w, coords, thetas)
     seq = w.copy()
     for i, t in zip(coords, thetas):
         seq = mf.givens_update(seq, i, t)
@@ -174,20 +191,7 @@ def test_apply_block_disjoint_matches_sequential_and_expm():
     assert np.allclose(got, w @ taylor_expm(omega), atol=1e-13)
     with pytest.raises(ValueError):
         optim.apply_block(w, [mf.coord_index(1, 2, d), mf.coord_index(2, 3, d)],
-                          [0.1, 0.2], disjoint=True)
-
-
-def test_apply_block_non_disjoint_uses_summed_direction():
-    rng = np.random.default_rng(5)
-    d = 6
-    w = random_w(d, seed=6)
-    coords = [mf.coord_index(1, 2, d), mf.coord_index(2, 3, d)]  # overlap on 2
-    thetas = [0.9, -0.5]
-    got = optim.apply_block(w, coords, thetas, disjoint=False)
-    omega = sum(t * dense_basis(*mf.coord_pair(i, d), d)
-                for i, t in zip(coords, thetas))
-    assert np.allclose(got, w @ taylor_expm(omega), atol=1e-13)
-    assert mf.orthogonality_defect(got) <= 1e-13
+                          [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
