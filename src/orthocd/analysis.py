@@ -240,7 +240,7 @@ def bench_update(
         def timed_once() -> float:
             t0 = time.perf_counter()
             _, grads = rnn.backward(params, x1h, data.targets, data.mask)
-            step(state, grads)
+            step(state, optim.GradPack(w=grads.w, x=grads.x_blocks()))
             return time.perf_counter() - t0
 
     for _ in range(warmup):

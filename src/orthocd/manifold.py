@@ -27,6 +27,12 @@ All computations are in float64.  Functions are pure unless an explicit
 analytic flop count of each optimizer's W update is in
 `optim.OPTIMIZERS`).
 
+Geometry functions take and return plain float64 arrays.  Invariants
+are checked at the trust boundary, W^T W = I when a checkpoint is saved
+or loaded (`rnn.RnnParams.check`), and by the tests.  The checks left
+here guard one call's own input: `exp_map` rejects a non-tangent xi,
+`matrix_expm` a non-skew matrix and `reorthogonalize` a gross defect.
+
 Thread policy.  numpy and scipy wheels each bundle an OpenBLAS copy with
 its own thread pool.  The only scipy call in this package is the
 `scipy.linalg.expm` inside `matrix_expm`.  Below EXPM_THREADED_MIN_D it
@@ -48,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -56,10 +61,6 @@ import scipy.linalg
 from . import blas
 
 __all__ = [
-    "OrthogonalMatrix",
-    "TangentVector",
-    "TangentCoordinate",
-    "SkewBasis",
     "all_partials",
     "basis_tangent",
     "coord_index",
@@ -67,14 +68,11 @@ __all__ = [
     "exp_map",
     "givens_update",
     "matrix_expm",
-    "metric",
-    "norm",
     "num_coords",
     "orthogonality_defect",
     "partial_derivative",
     "random_orthogonal",
     "reorthogonalize",
-    "skew_basis",
     "skew_grad",
     "skew_partials",
     "tangent_project",
@@ -83,14 +81,12 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
-DET_TOL = 1e-6
-TANGENCY_TOL = 1e-12
 EXPM_THREADED_MIN_D = 900  # thread policy: see the module docstring
 SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see _antisym
 
 
 # ---------------------------------------------------------------------------
-# validated containers
+# checks
 # ---------------------------------------------------------------------------
 
 def orthogonality_defect(w: np.ndarray) -> float:
@@ -105,85 +101,6 @@ def _check_square(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     return w
-
-
-@dataclass(frozen=True)
-class OrthogonalMatrix:
-    """A validated point on O(d).
-
-    Construction rejects matrices whose orthogonality defect exceeds
-    ORTHOGONALITY_TOL or whose determinant is not +-1 within DET_TOL.
-    Both components of O(d) are accepted (det = -1 is a valid point);
-    no operation in this module ever switches component.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = _check_square(self.m)
-        object.__setattr__(self, "m", w)
-        defect = orthogonality_defect(w)
-        if defect > ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"not orthogonal: ||W^T W - I||_F = {defect:.3e} "
-                f"> {ORTHOGONALITY_TOL:.0e}"
-            )
-        # |det| = 1 checked through slogdet; |log|det|| <= tol is the
-        # first-order equivalent of ||det| - 1| <= tol
-        _, logabsdet = np.linalg.slogdet(w)
-        if abs(logabsdet) > DET_TOL:
-            raise ValueError(f"|det W| deviates from 1: log|det| = {logabsdet:.3e}")
-
-    @property
-    def d(self) -> int:
-        return self.m.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.m.astype(dtype)
-        return self.m
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector xi at base point W, stored densely.
-
-    Validates W^T xi skew-symmetric to TANGENCY_TOL * max(1, ||xi||_F).
-    """
-
-    base: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        base = _check_square(np.asarray(self.base, dtype=np.float64))
-        value = np.asarray(self.value, dtype=np.float64)
-        if value.shape != base.shape:
-            raise ValueError("tangent value shape differs from base shape")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "value", value)
-        omega = base.T @ value
-        defect = float(np.linalg.norm(omega + omega.T))
-        scale = max(1.0, float(np.linalg.norm(value)))
-        if defect > TANGENCY_TOL * scale:
-            raise ValueError(
-                f"not tangent at base: ||W^T xi + (W^T xi)^T||_F = {defect:.3e}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.base.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentCoordinate:
-    """A coordinate index paired with a magnitude theta along eta_i."""
-
-    index: int
-    theta: float
-
-    def densify(self, w: np.ndarray) -> TangentVector:
-        eta = basis_tangent(w, self.index)
-        return TangentVector(eta.base, self.theta * eta.value)
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +138,7 @@ def coord_pair(i: int, d: int) -> tuple[int, int]:
     return a + 1, b + 1
 
 
-@dataclass(frozen=True)
-class SkewBasis:
-    """Sparse representation of H[j,l]: two entries, +-1/sqrt(2).
-
-    Entry (j, l) holds +1/sqrt(2) and (l, j) holds -1/sqrt(2).  The
-    dense form exists for tests and diagnostics only; optimizer code
-    paths never materialize it.
-    """
-
-    j: int
-    l: int
-    d: int
-    value: float = 1.0 / _SQRT2
-
-    def dense(self) -> np.ndarray:
-        h = np.zeros((self.d, self.d))
-        h[self.j - 1, self.l - 1] = self.value
-        h[self.l - 1, self.j - 1] = -self.value
-        return h
-
-
-def skew_basis(j: int, l: int, d: int) -> SkewBasis:
-    """Normalized skew-symmetric basis element H[j,l] in sparse form."""
-    if not (1 <= j < l <= d):
-        raise ValueError(f"need 1 <= j < l <= d, got (j, l, d) = ({j}, {l}, {d})")
-    return SkewBasis(j, l, d)
-
-
-def basis_tangent(w: np.ndarray, i: int) -> TangentVector:
+def basis_tangent(w: np.ndarray, i: int) -> np.ndarray:
     """Dense tangent basis element eta_i = W @ H[j,l] at W.
 
     Only columns j and l of the result are nonzero:
@@ -262,14 +151,14 @@ def basis_tangent(w: np.ndarray, i: int) -> TangentVector:
     eta = np.zeros_like(w)
     eta[:, l - 1] = w[:, j - 1] / _SQRT2
     eta[:, j - 1] = -w[:, l - 1] / _SQRT2
-    return TangentVector(w, eta)
+    return eta
 
 
 # ---------------------------------------------------------------------------
 # projection and partial derivatives
 # ---------------------------------------------------------------------------
 
-def tangent_project(w: np.ndarray, m: np.ndarray) -> TangentVector:
+def tangent_project(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Orthogonal projection of an ambient matrix M onto the tangent
     space at W:  P(M) = W (W^T M - M^T W) / 2."""
     w = _check_square(w)
@@ -277,8 +166,7 @@ def tangent_project(w: np.ndarray, m: np.ndarray) -> TangentVector:
     if m.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, M is {m.shape}")
     a = w.T @ m
-    value = w @ ((a - a.T) / 2.0)
-    return TangentVector(w, value)
+    return w @ ((a - a.T) / 2.0)
 
 
 def partial_derivative(w: np.ndarray, g: np.ndarray, i: int) -> float:
@@ -377,17 +265,13 @@ def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         return scipy.linalg.expm(s)
 
 
-def exp_map(w: np.ndarray, xi: TangentVector | np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def exp_map(w: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Geodesic step Exp_W(xi) = W @ expm(W^T xi).
 
-    `xi` is a TangentVector at W or a raw ambient matrix; tangency is
-    validated either way (defect above tol * max(1, ||xi||) raises).
+    Tangency of `xi` at W is validated: a defect above
+    tol * max(1, ||xi||) raises.
     """
     w = _check_square(w)
-    if isinstance(xi, TangentVector):
-        if not np.array_equal(xi.base, w):
-            raise ValueError("tangent vector is based at a different point")
-        xi = xi.value
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, xi is {xi.shape}")
@@ -436,18 +320,16 @@ def givens_update(
 
 
 # ---------------------------------------------------------------------------
-# metric, norm, repair
+# repair and sampling
 # ---------------------------------------------------------------------------
 
-def metric(xi: TangentVector, zeta: TangentVector) -> float:
-    """Frobenius inner product tr(xi^T zeta) of tangents at a shared base."""
-    if not np.array_equal(xi.base, zeta.base):
-        raise ValueError("tangent vectors are based at different points")
-    return float(np.vdot(xi.value, zeta.value))
-
-
-def norm(xi: TangentVector) -> float:
-    return float(np.linalg.norm(xi.value))
+def _qr_sign_fixed(a: np.ndarray) -> np.ndarray:
+    """Q of a = QR with the signs of diag(R) fixed to +1 (a zero counts
+    as +1), which makes the factor unique."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
 
 
 def reorthogonalize(w: np.ndarray) -> np.ndarray:
@@ -464,10 +346,7 @@ def reorthogonalize(w: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"gross non-orthogonality (defect {defect:.3e} > 0.5); refusing to repair"
         )
-    q, r = np.linalg.qr(w)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q = _qr_sign_fixed(w)
     eye = np.eye(d)
     for _ in range(2):
         if orthogonality_defect(q) <= 1e-14:
@@ -478,8 +357,4 @@ def reorthogonalize(w: np.ndarray) -> np.ndarray:
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random orthogonal matrix (QR with sign fix)."""
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return _qr_sign_fixed(rng.standard_normal((d, d)))

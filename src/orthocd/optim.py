@@ -130,8 +130,7 @@ class SelectionRule:
 @dataclass
 class GradPack:
     """Gradient bundle for the generic steps: Euclidean gradient of the
-    orthogonal block plus named unconstrained blocks.  rnn.Grads is
-    duck-compatible (same .w attribute and .x_blocks() method).
+    orthogonal block plus named unconstrained blocks.
 
     `skew`, when given, is manifold.skew_grad(W, w) at the W the step
     will update; the steps that read S take it from here instead of
@@ -195,21 +194,19 @@ def _all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(x).all())
 
 
-def _check_finite(grads) -> None:
+def _check_finite(grads: GradPack) -> None:
     if not _all_finite(grads.w):
         raise NumericError("non-finite entries in the W gradient")
-    skew = getattr(grads, "skew", None)
-    if skew is not None and not _all_finite(skew):
+    if grads.skew is not None and not _all_finite(grads.skew):
         raise NumericError("non-finite entries in the W gradient's skew part")
     for name, g in grads.x_blocks().items():
         if not _all_finite(g):
             raise NumericError(f"non-finite entries in gradient block {name!r}")
 
 
-def _skew(w: np.ndarray, grads) -> np.ndarray:
+def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
     """S = W^T G - G^T W: the bundle's, or formed here."""
-    skew = getattr(grads, "skew", None)
-    return manifold.skew_grad(w, grads.w) if skew is None else skew
+    return manifold.skew_grad(w, grads.w) if grads.skew is None else grads.skew
 
 
 def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
@@ -236,7 +233,7 @@ def _update_x(state: OptimizerState, grads, alpha: float) -> None:
         arr -= alpha * blocks[name]
 
 
-def sgd_step(state: OptimizerState, grads) -> OptimizerState:
+def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     """Euclidean SGD on all blocks; W leaves the manifold (baseline)."""
     alpha = schedule_step(state.schedule, state.k)
     _check_finite(grads)
@@ -246,7 +243,7 @@ def sgd_step(state: OptimizerState, grads) -> OptimizerState:
     return state
 
 
-def srgd_step(state: OptimizerState, grads) -> OptimizerState:
+def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     """Full Riemannian step: W <- Exp_W(-alpha * P(g_W)).
 
     Exp_W(W S) = W expm(S) for skew S, so the update multiplies W by
@@ -263,7 +260,7 @@ def srgd_step(state: OptimizerState, grads) -> OptimizerState:
     return state
 
 
-def srcd_step(state: OptimizerState, grads) -> OptimizerState:
+def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     """Coordinate step per the state's selection rule.
 
     The W update reads and writes only the affected column pairs.  With

@@ -104,6 +104,9 @@ class RnnParams:
                          self.b_out.copy(), self.b_mod.copy())
 
     def check(self) -> None:
+        """Trust-boundary check, run on checkpoint save and load: shapes
+        agree, every entry is finite and ||W^T W - I||_F <= ORTHOGONALITY_TOL
+        (written `not <=` so that a NaN defect fails)."""
         d, d_in, d_out = self.d, self.d_in, self.d_out
         if self.w_in.shape != (d, d_in) or self.w.shape != (d, d):
             raise ValueError("inconsistent parameter shapes")
@@ -111,7 +114,14 @@ class RnnParams:
             raise ValueError("inconsistent parameter shapes")
         if self.b_mod.shape != (d,):
             raise ValueError("inconsistent parameter shapes")
-        manifold.OrthogonalMatrix(self.w)
+        for name, arr in (("w", self.w), *self.x_blocks().items()):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite entries in {name}")
+        defect = manifold.orthogonality_defect(self.w)
+        # |log|det W|| <= sqrt(d) defect / (2(1 - defect)): |det W| = 1 to 1e-6 for d < 4e4
+        if not defect <= manifold.ORTHOGONALITY_TOL:
+            raise ValueError(f"W is not orthogonal: ||W^T W - I||_F = "
+                             f"{defect:.3e} > {manifold.ORTHOGONALITY_TOL:.0e}")
 
 
 @dataclass

@@ -109,13 +109,13 @@ def test_config_ini_round_trip(tmp_path):
 
 def test_readme_config_block_matches_the_config(tmp_path):
     # the README's ini block, comments stripped, is a valid config that
-    # names every key, each in its own section
+    # names every key, each in its own section, at its default value
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.ini"
     path.write_text("\n".join(line.split(";", 1)[0].rstrip()
                               for line in block.splitlines()))
-    cli.parse_config(str(path))
+    assert cli.parse_config(str(path)) == cli.parse_config()
     parser = ConfigParser()
     parser.read(path)
     assert {s: tuple(parser[s]) for s in parser.sections()} == cli._SECTIONS

@@ -394,6 +394,20 @@ def test_params_check_rejects_non_orthogonal_w():
         params.check()
 
 
+def test_params_check_orthogonality_validation():
+    params = make_params(seed=23)
+    w = mf.random_orthogonal(params.d, np.random.default_rng(23))
+    params.w = w
+    params.check()  # fine
+    refl = w.copy()
+    refl[:, 0] = -refl[:, 0]  # determinant -1 stays in O(d)
+    params.w = refl
+    params.check()
+    params.w = 1.001 * w
+    with pytest.raises(ValueError):
+        params.check()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -439,3 +453,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     garbled_path.write_bytes(bytes(garbled))
     with pytest.raises(ValueError):
         rnn.load_checkpoint(garbled_path)
+
+
+def test_checkpoint_rejects_non_finite_entries(tmp_path):
+    params = rnn.init_params(8, 5, 4, seed=27)
+    path = tmp_path / "model.bin"
+    rnn.save_checkpoint(path, params, seed=0)
+    raw = path.read_bytes()
+    w_off = 8 + 21 + 8 * params.w_in.size
+    b_out_off = w_off + 8 * (params.w.size + params.w_out.size)
+    for name, off in (("w", w_off + 8 * 3), ("b_out", b_out_off + 8)):
+        broken = bytearray(raw)
+        broken[off:off + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        broken_path = tmp_path / f"nan_{name}.bin"
+        broken_path.write_bytes(bytes(broken))
+        with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
+            rnn.load_checkpoint(broken_path)
