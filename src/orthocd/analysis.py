@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import copytask, optim, rnn
+from . import copytask, manifold, optim, rnn
 
 __all__ = [
     "BenchRecord",
@@ -199,7 +199,9 @@ def bench_update(
     gradients (Table-1 "optim.step()" analogue; the gradient content is
     random since it does not affect cost).  phase="backward_update"
     times BPTT plus the update on a real copy-task batch (desk-scale
-    sequence at the requested width).  No thread limit is added: each
+    sequence at the requested width), handing the step what `train`
+    hands it: S = antisym(A) from BPTT's A = W^T G, or, to the `sgd`
+    baseline, which needs it, G = W A.  No thread limit is added: each
     step takes the package's own holds (a small expm or BPTT runs with
     its OpenBLAS copy at one thread and gives the count back), and the
     counts in force go to run_meta.json.  Setup and allocation stay
@@ -240,7 +242,12 @@ def bench_update(
         def timed_once() -> float:
             t0 = time.perf_counter()
             _, grads = rnn.backward(params, x1h, data.targets, data.mask)
-            step(state, optim.GradPack(w=grads.w, x=grads.x_blocks()))
+            if optimizer == "sgd":
+                pack = optim.GradPack(w=state.w @ grads.a, x=grads.x_blocks())
+            else:
+                pack = optim.GradPack(skew=manifold.antisym(grads.a),
+                                      x=grads.x_blocks())
+            step(state, pack)
             return time.perf_counter() - t0
 
     for _ in range(warmup):

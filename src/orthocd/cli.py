@@ -367,15 +367,15 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         value, grads = rnn.backward(params, x1h, data.targets, data.mask)
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
-        # S = W^T G - G^T W, formed once: the gnormsq column and the
-        # step both read it (||grad_W||^2 = ||S||_F^2 / 4)
-        skew = manifold.skew_grad(state.w, grads.w)
+        # S = A - A^T with A = W^T G from BPTT, O(d^2): the gnormsq
+        # column and the step both read it (||grad_W||^2 = ||S||_F^2 / 4)
+        skew = manifold.antisym(grads.a)
         x_blocks = grads.x_blocks()
         alphas[k] = optim.schedule_step(schedule, state.k)
         losses[k] = value
         gnormsq[k] = float(np.vdot(skew, skew)) / 4.0 + sum(
             float(np.sum(g * g)) for g in x_blocks.values())
-        opt.step(state, optim.GradPack(w=grads.w, x=x_blocks, skew=skew))
+        opt.step(state, optim.GradPack(skew=skew, x=x_blocks))
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
@@ -386,7 +386,7 @@ def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
     data = copytask.generate_batch(task, rng, mask_mode=mask_mode)
     x1h = copytask.one_hot(data.inputs, task.n_input_classes)
     _, grads = rnn.backward(params, x1h, data.targets, data.mask)
-    return manifold.all_partials(params.w, grads.w)
+    return manifold.skew_partials(manifold.antisym(grads.a))
 
 
 # ---------------------------------------------------------------------------

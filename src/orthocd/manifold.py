@@ -62,6 +62,7 @@ from . import blas
 
 __all__ = [
     "all_partials",
+    "antisym",
     "basis_tangent",
     "coord_index",
     "coord_pair",
@@ -82,7 +83,7 @@ _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
 EXPM_THREADED_MIN_D = 900  # thread policy: see the module docstring
-SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see _antisym
+SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see antisym
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,13 @@ def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _antisym(a: np.ndarray) -> np.ndarray:
-    """a - a.T, bitwise.  From SKEW_BLOCKED_MIN_D up it is formed in
-    square tiles: a strided transpose of the whole matrix misses cache
-    on every read (d=1024 on 2 vCPUs: 18 -> 9 ms); below that width the
-    one-shot form is faster."""
+def antisym(a: np.ndarray) -> np.ndarray:
+    """a - a.T, bitwise, in O(d^2): S from A = W^T G, when a caller
+    (BPTT, see `rnn.Grads`) has A without forming the product.  From
+    SKEW_BLOCKED_MIN_D up it is formed in square tiles: a strided
+    transpose of the whole matrix misses cache on every read (d=1024 on
+    2 vCPUs: 18 -> 9 ms); below that width the one-shot form is
+    faster."""
     d = a.shape[0]
     if d < SKEW_BLOCKED_MIN_D:
         return a - a.T
@@ -219,12 +222,13 @@ def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     G: the Riemannian gradient is W S/2, partial i = (j, l) is
     S[j,l]/sqrt(2), and the squared Riemannian gradient norm is
     ||S||_F^2/4.  S is exactly antisymmetric, S^T == -S bitwise.
+    Given A itself, antisym(A) is the same S without the product.
     """
     w = _check_square(w)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, G is {g.shape}")
-    return _antisym(w.T @ g)
+    return antisym(w.T @ g)
 
 
 def skew_partials(s: np.ndarray) -> np.ndarray:

@@ -15,24 +15,27 @@ coordinate step moves W by Givens rotations alone, never through a
 matrix exponential.  A plain Euclidean `sgd_step` (no orthogonality
 enforcement) is included as the unconstrained baseline.
 
-Every step on W except the uniform one reads S = W^T G - G^T W
-(`manifold.skew_grad`): srgd uses S/2, Gauss-Southwell takes argmax
-|S| over j < l with theta = S[j,l]/sqrt(2), and block Gauss-Southwell
-gathers the partials from S's upper triangle.  A GradPack may carry S,
-formed once by a caller that also needs it (the train loop's gnormsq);
-otherwise the step forms it from G.  The uniform step reads two
-columns of W and G, O(d).
+Every step on O(d) reads S = W^T G - G^T W: srgd uses S/2,
+Gauss-Southwell takes argmax |S| over j < l with theta = S[j,l]/sqrt(2),
+block Gauss-Southwell gathers the partials from S's upper triangle, and
+the uniform step reads theta = S[j,l]/sqrt(2) alone, O(1).  A GradPack
+carries S, G or both.  The train loop hands S alone: BPTT returns
+A = W^T G (`rnn.Grads`), and S = manifold.antisym(A) costs O(d^2), so
+no d^3 product is paid outside BPTT.  Handed G alone, a step forms
+S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
+reads two columns of W and G, O(d).
 
 OPTIMIZERS is the one table of the training optimizers: each name maps
 to its selection-rule kind, its step function, and the analytic flop
 count of its W update as a function of d, for a step handed G alone
-(the cost model the bench reports).  `sgd` is not in it: its W leaves
-O(d), so it is a bench-only baseline (see `analysis`).
+(the cost model the bench reports; handed S, the 2d^3 term drops).
+`sgd` is not in it: its W leaves O(d), so it is a bench-only baseline
+(see `analysis`), and it needs G.
 
 States mutate their parameter arrays in place and are single-owner.
-All steps raise NumericError on non-finite gradients (G, S when
-bundled, and every X block) rather than let NaNs propagate into the
-parameters.
+All steps raise NumericError on non-finite gradients (G and S, each
+when bundled, and every X block) rather than let NaNs propagate into
+the parameters.
 """
 
 from __future__ import annotations
@@ -129,20 +132,18 @@ class SelectionRule:
 
 @dataclass
 class GradPack:
-    """Gradient bundle for the generic steps: Euclidean gradient of the
-    orthogonal block plus named unconstrained blocks.
+    """Gradient bundle for the generic steps: the orthogonal block's
+    gradient, as G, S or both, plus named unconstrained blocks.
 
-    `skew`, when given, is manifold.skew_grad(W, w) at the W the step
-    will update; the steps that read S take it from here instead of
-    forming it again.  Without it they compute it from `w`.
+    `skew` is S = W^T G - G^T W at the W the step will update; the steps
+    on O(d) read it from here when it is given.  Without it they form
+    it from the Euclidean gradient `w`.  One of the two must be given;
+    `sgd_step` needs `w`.
     """
 
-    w: np.ndarray
+    w: np.ndarray | None = None
     x: dict[str, np.ndarray] = field(default_factory=dict)
     skew: np.ndarray | None = None
-
-    def x_blocks(self) -> dict[str, np.ndarray]:
-        return self.x
 
 
 @dataclass
@@ -195,11 +196,13 @@ def _all_finite(x: np.ndarray) -> bool:
 
 
 def _check_finite(grads: GradPack) -> None:
-    if not _all_finite(grads.w):
+    if grads.w is None and grads.skew is None:
+        raise ValueError("GradPack carries neither G nor S")
+    if grads.w is not None and not _all_finite(grads.w):
         raise NumericError("non-finite entries in the W gradient")
     if grads.skew is not None and not _all_finite(grads.skew):
         raise NumericError("non-finite entries in the W gradient's skew part")
-    for name, g in grads.x_blocks().items():
+    for name, g in grads.x.items():
         if not _all_finite(g):
             raise NumericError(f"non-finite entries in gradient block {name!r}")
 
@@ -228,13 +231,16 @@ def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
 
 def _update_x(state: OptimizerState, grads, alpha: float) -> None:
     # identical unconstrained update in every optimizer, shared on purpose
-    blocks = grads.x_blocks()
+    blocks = grads.x
     for name, arr in state.x.items():
         arr -= alpha * blocks[name]
 
 
 def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """Euclidean SGD on all blocks; W leaves the manifold (baseline)."""
+    """Euclidean SGD on all blocks; W leaves the manifold (baseline).
+    Needs the Euclidean gradient G in `grads.w`."""
+    if grads.w is None:
+        raise ValueError("sgd_step needs the Euclidean W gradient")
     alpha = schedule_step(state.schedule, state.k)
     _check_finite(grads)
     _update_x(state, grads, alpha)
@@ -264,8 +270,9 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     """Coordinate step per the state's selection rule.
 
     The W update reads and writes only the affected column pairs.  With
-    the uniform rule the whole W path is O(d): one partial derivative
-    from two columns, one Givens rotation.
+    the uniform rule the whole W path is O(d): one partial derivative,
+    S[j,l]/sqrt(2) when S is bundled and two columns of W and G
+    otherwise, then one Givens rotation.
     """
     if state.rule is None:
         raise ValueError("srcd_step needs a SelectionRule on the state")
@@ -280,7 +287,11 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
         if state.rng is None:
             raise ValueError("uniform selection needs an rng on the state")
         i = select_uniform(state.rng, n_coords)
-        theta = manifold.partial_derivative(w, grads.w, i)
+        if grads.skew is None:
+            theta = manifold.partial_derivative(w, grads.w, i)
+        else:
+            j, l = manifold.coord_pair(i, d)
+            theta = float(grads.skew[j - 1, l - 1]) / _SQRT2
         manifold.givens_update(w, i, -alpha * theta, out=w)
         state.last_coords = (i,)
     elif rule.kind == "gauss_southwell":

@@ -3,9 +3,11 @@
     h(t) = phi(W_in x(t) + W h(t-1)),    y(t) = W_out h(t) + b_out,
 
 with phi the modReLU activation (Arjovsky, Shah & Bengio, ICML 2016).
-`backward` accumulates exact BPTT gradients for every parameter block;
-the gradient for W is the raw Euclidean one (projection onto the
-tangent space is the geometry module's job).
+`backward` accumulates exact BPTT gradients for every parameter block.
+For W it returns A = W^T G, G the raw Euclidean gradient: every step on
+O(d) reads S = A - A^T (see `manifold`), and the reverse loop yields A
+for the cost of the dW product it replaces, so no caller pays a d^3
+product W^T G.
 
 The public API is batch-first: inputs (B, T, d_in), targets and masks
 (B, T), ForwardTrace fields (B, T, .).  A 2D input (T, d_in) is
@@ -30,7 +32,7 @@ b_mod > 0 it gives +-b instead of modReLU's 0.
 Thread policy.  As everywhere in the package (see `orthocd.blas`), an
 OpenBLAS copy is held at one thread for the length of a small call, then
 given back its count.  Here `forward`, `logits` and `backward` hold
-numpy's copy when the dW product, T*B*d*d multiply-adds, is below
+numpy's copy when the A product, T*B*d*d multiply-adds, is below
 BPTT_THREADED_MIN_WORK.  Below that size the products are short and a
 second thread gains little (backward on 2 vCPUs, idle host, one thread
 -> two: d=64, T=110, B=32 14.6 -> 13.6 ms; d=96 20.9 -> 19.4 ms).  But
@@ -133,16 +135,17 @@ class ForwardTrace:
 
 @dataclass
 class Grads:
-    """Euclidean gradients, same shapes as RnnParams.
+    """Euclidean gradients of the unconstrained blocks, same shapes as
+    RnnParams, and A = W^T G for the orthogonal one.
 
-    `w` is NOT projected onto the tangent space; consumers that need
-    Riemannian quantities form S = manifold.skew_grad(W, w), from which
+    S = manifold.antisym(a) = W^T G - G^T W is what a step on W reads:
     the Riemannian gradient, the coordinate partials and its norm all
-    follow (see `manifold`).
+    follow from it (see `manifold`).  The Euclidean gradient itself,
+    where a caller needs it, is G = W a.
     """
 
     w_in: np.ndarray
-    w: np.ndarray
+    a: np.ndarray      # W^T dL/dW, d x d
     w_out: np.ndarray
     b_out: np.ndarray
     b_mod: np.ndarray
@@ -356,9 +359,11 @@ def backward(
     Only the hidden states are kept from the forward pass: modReLU's
     output h is nonzero exactly where its subgradient is 1, and there
     sign(h) = sign(pre).  The reverse loop does the elementwise work
-    step by step and writes dL/dpre(t) over dL/dh_out(t) in one
-    (T, B, d) buffer, so dW, dW_in and dW_out are one GEMM each after
-    it.
+    step by step and forms carry(t) = dL/dpre(t) W, the term it passes
+    to step t-1.  It writes carry(t) over dL/dh_out(t) in one (T, B, d)
+    buffer, so A = W^T dW = sum_t carry(t)^T h(t-1) is one GEMM of the
+    shape of the dW product, and dW_in = W (C^T X) since
+    dL/dpre(t) = carry(t) W^T.
     """
     inputs = _as_batched(inputs)
     bsz, steps, _ = inputs.shape
@@ -385,33 +390,34 @@ def _backward(params, inputs, targets, mask, h0, activation) -> tuple[float, Gra
     rows = steps * bsz
     flat_dlogits = dlogits.reshape(rows, d_out)
     flat_hidden = hidden.reshape(rows, d)
-    dpre = np.empty((steps, bsz, d))  # dL/dh_out(t), then dL/dpre(t)
-    np.matmul(flat_dlogits, params.w_out, out=dpre.reshape(rows, d))
+    carry = np.empty((steps, bsz, d))  # dL/dh_out(t), then dL/dpre(t) W
+    np.matmul(flat_dlogits, params.w_out, out=carry.reshape(rows, d))
     g_w_out = flat_dlogits.T @ flat_hidden
     g_b_out = flat_dlogits.sum(axis=0)
     del dlogits, flat_dlogits
     b_mod = np.zeros((bsz, d))
     sgn = np.empty((bsz, d))
-    carry = np.empty((bsz, d))
+    dh = np.empty((bsz, d))
     for t in range(steps - 1, -1, -1):
-        dh = dpre[t]
         if t < steps - 1:
-            dh += carry
+            np.add(carry[t], carry[t + 1], out=dh)
+        else:
+            dh[...] = carry[t]
         if activation == "modrelu":
             np.sign(hidden[t], out=sgn)
             dh *= sgn                 # dL/dpre * sign(pre) where active
             b_mod += dh
             dh *= sgn                 # dL/dpre: sign^2 is the active mask
-        np.matmul(dh, params.w, out=carry)
+        np.matmul(dh, params.w, out=carry[t])
 
-    flat_dpre = dpre.reshape(rows, d)
-    # dW = sum_t dpre(t)^T h(t-1), with h(-1) = h0 (zero by default)
-    g_w = flat_dpre[bsz:].T @ flat_hidden[:rows - bsz]
+    flat_carry = carry.reshape(rows, d)
+    # A = W^T dW = sum_t carry(t)^T h(t-1), with h(-1) = h0 (zero by default)
+    a = flat_carry[bsz:].T @ flat_hidden[:rows - bsz]
     if h0 is not None and steps:
-        g_w += dpre[0].T @ np.broadcast_to(np.asarray(h0, dtype=np.float64), (bsz, d))
+        a += carry[0].T @ np.broadcast_to(np.asarray(h0, dtype=np.float64), (bsz, d))
     grads = Grads(
-        w_in=flat_dpre.T @ x.reshape(rows, params.d_in),
-        w=g_w,
+        w_in=params.w @ (flat_carry.T @ x.reshape(rows, params.d_in)),
+        a=a,
         w_out=g_w_out,
         b_out=g_b_out,
         b_mod=b_mod.sum(axis=0),
@@ -432,11 +438,10 @@ def cayley_block_init(
     """Orthogonal W0 = (I + A)^-1 (I - A), A block-diagonal with 2x2
     skew blocks [[0, s], [-s, 0]], s ~ Uniform[-pi, pi] per block.
 
-    `angles` overrides the sampling (length d/2), for tests.  Each
-    block maps to the closed-form rotation-like 2x2
-    [[1-s^2, -2s], [2s, 1-s^2]] / (1+s^2); the implementation goes
-    through the linear solve so the Cayley transform itself is what is
-    exercised, and tests compare against the closed form.
+    `angles` overrides the sampling (length d/2), for tests.  The
+    transform of a block is [[1-s^2, -2s], [2s, 1-s^2]] / (1+s^2), so
+    W0 is written in closed form with O(d) arithmetic, not a d x d
+    solve; the tests compare it with the linear-solve transform.
     """
     if d % 2 != 0:
         raise ValueError(f"cayley_block_init needs even d, got {d}")
@@ -447,12 +452,15 @@ def cayley_block_init(
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (d // 2,):
         raise ValueError(f"need {d // 2} block angles, got shape {angles.shape}")
-    a = np.zeros((d, d))
+    den = 1.0 + angles * angles
+    cos = (1.0 - angles * angles) / den
+    sin = 2.0 * angles / den
+    w = np.zeros((d, d))
     top = np.arange(0, d, 2)
-    a[top, top + 1] = angles
-    a[top + 1, top] = -angles
-    eye = np.eye(d)
-    return np.linalg.solve(eye + a, eye - a)
+    w[top, top] = w[top + 1, top + 1] = cos
+    w[top, top + 1] = -sin
+    w[top + 1, top] = sin
+    return w
 
 
 def init_params(d: int, d_in: int, d_out: int, seed: int = 0) -> RnnParams:
@@ -497,7 +505,10 @@ def load_checkpoint(path) -> tuple[RnnParams, int]:
         magic = fh.read(8)
         if magic != _CKPT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, d, d_in, d_out, seed = struct.unpack("<BIIIQ", fh.read(21))
+        header = fh.read(21)
+        if len(header) != 21:
+            raise ValueError("truncated checkpoint header")
+        version, d, d_in, d_out, seed = struct.unpack("<BIIIQ", header)
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         def block(*shape: int) -> np.ndarray:

@@ -132,11 +132,18 @@ def fsum_prefix(x, k: int) -> float:
     return math.fsum(map(float, x[:k]))
 
 
-def cayley_pair(s: float) -> np.ndarray:
-    """Closed form of the Cayley transform of [[0, s], [-s, 0]]."""
-    den = 1.0 + s * s
-    return np.array([[1.0 - s * s, -2.0 * s],
-                     [2.0 * s, 1.0 - s * s]]) / den
+def cayley_solve(angles: np.ndarray) -> np.ndarray:
+    """The Cayley transform (I + A)^-1 (I - A) as a dense linear solve,
+    A block-diagonal with 2x2 skew blocks [[0, s], [-s, 0]], one per
+    angle."""
+    angles = np.asarray(angles, dtype=np.float64)
+    d = 2 * angles.size
+    a = np.zeros((d, d))
+    top = np.arange(0, d, 2)
+    a[top, top + 1] = angles
+    a[top + 1, top] = -angles
+    eye = np.eye(d)
+    return np.linalg.solve(eye + a, eye - a)
 
 
 def rnn_backward_per_step(params, inputs, targets, mask=None, h0=None,

@@ -253,6 +253,11 @@ def test_bench_backward_update_phase():
     assert rec.median_s > 0.0
     upd = an.bench_update("srcd-u", 8, reps=30, warmup=5, batch=2)
     assert upd.median_s < rec.median_s  # update alone is cheaper than BPTT + update
+    # every step runs on what BPTT hands it: S = antisym(A), or G = W A for sgd
+    for optimizer in an.BENCH_OPTIMIZERS:
+        rec = an.bench_update(optimizer, 8, reps=30, warmup=5,
+                              phase="backward_update", batch=2)
+        assert rec.optimizer == optimizer and rec.median_s > 0.0
 
 
 def test_loglog_slope_exact_powers():

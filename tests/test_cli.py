@@ -169,9 +169,15 @@ def test_train_eval_matches_forward(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("optimizer", optim.OPTIMIZERS)
 def test_train_every_optimizer(optimizer, tmp_path, monkeypatch):
+    # BPTT hands A = W^T G, so neither the loop nor the step forms W^T G
+    calls = []
+    real = manifold.skew_grad
+    monkeypatch.setattr(manifold, "skew_grad",
+                        lambda *args: calls.append(1) or real(*args))
     out = tmp_path / "run"
     assert run_main(["train", *TINY, "--optimizer", optimizer, "--out", str(out)],
                     tmp_path, monkeypatch) == 0
+    assert calls == []
     rows = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
     assert rows.size == 6
     for col in rows.dtype.names:
@@ -225,6 +231,26 @@ def test_train_desk_smoke_500_iterations(tmp_path, monkeypatch):
     assert losses[-1] < losses[0]
 
 
+def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
+    # srcd-u at the desk preset, seed 0: the picks are draws of the
+    # [seed, 2] stream alone, whatever form the gradient reaches the
+    # step in (the frozen list was recorded from a step handed G)
+    picks = []
+    entry = optim.OPTIMIZERS["srcd-u"]
+
+    def spy(state, grads):
+        entry.step(state, grads)
+        picks.append(state.last_coords[0])
+
+    monkeypatch.setitem(optim.OPTIMIZERS, "srcd-u", dataclasses.replace(entry, step=spy))
+    cfg = cli.parse_config(None, {"optimizer": "srcd-u", "iterations": 12, "seed": 0})
+    cli.run_training(cfg)
+    assert picks == [1975, 163, 579, 812, 462, 1213, 1800, 293, 880, 233, 99, 660]
+    stream = np.random.default_rng([0, 2])
+    assert picks == [optim.select_uniform(stream, manifold.num_coords(64))
+                     for _ in range(12)]
+
+
 def _poison_backward(monkeypatch):
     # inject a NaN into the W gradient: the optimizer's finite check
     # must trip and surface as the numeric exit code
@@ -232,7 +258,7 @@ def _poison_backward(monkeypatch):
 
     def poisoned(*args, **kwargs):
         value, grads = real(*args, **kwargs)
-        grads.w[0, 0] = np.nan
+        grads.a[0, 0] = np.nan
         return value, grads
 
     monkeypatch.setattr(cli.rnn, "backward", poisoned)

@@ -263,6 +263,35 @@ def test_srcd_uniform_step_semantics():
     assert np.array_equal(state.w[:, untouched], w0[:, untouched])
 
 
+def test_srcd_uniform_step_reads_the_bundled_skew(monkeypatch):
+    # handed S alone, the uniform step picks the same coordinate as when
+    # handed G, and its angle S[j,l]/sqrt(2) agrees with the two-column
+    # partial derivative to 1e-15 relative to the bound
+    # |theta| <= (|g_j| + |g_l|)/sqrt(2); relative to theta itself the
+    # two roundings differ by up to ~1e-12 where the dot products cancel
+    angles = []
+    real = mf.givens_update
+    monkeypatch.setattr(optim.manifold, "givens_update",
+                        lambda w, i, theta, out=None: angles.append(theta)
+                        or real(w, i, theta, out=out))
+    d, alpha = 12, 0.02
+    rule = optim.SelectionRule("uniform")
+    for seed in range(20):
+        w0 = make_state(d=d, seed=seed).w
+        g = random_grads(make_state(d=d, seed=seed), seed=seed + 100)
+        picks = []
+        for pack in (g, optim.GradPack(skew=mf.skew_grad(w0, g.w), x=g.x)):
+            state = make_state(d=d, seed=seed, alpha=alpha, rule=rule)
+            optim.srcd_step(state, pack)
+            picks.append(state.last_coords)
+        assert picks[0] == picks[1]
+        (i,) = picks[0]
+        j, l = mf.coord_pair(i, d)
+        bound = (np.linalg.norm(g.w[:, j - 1]) + np.linalg.norm(g.w[:, l - 1])) / math.sqrt(2.0)
+        theta_g, theta_s = angles[-2:]
+        assert abs(theta_s - theta_g) <= 1e-15 * alpha * bound
+
+
 def test_srcd_gs_picks_largest_partial():
     state = make_state(d=8, alpha=0.01, rule=optim.SelectionRule("gauss_southwell"))
     grads = random_grads(state, seed=12)
@@ -293,6 +322,17 @@ def test_srcd_requires_rule_and_rng():
     state.rng = None
     with pytest.raises(ValueError):
         optim.srcd_step(state, random_grads(state))
+
+
+def test_gradpack_needs_g_or_s():
+    state = make_state(d=6, rule=optim.SelectionRule("uniform"))
+    g = random_grads(state, seed=19)
+    for fn in (optim.sgd_step, optim.srgd_step, optim.srcd_step):
+        with pytest.raises(ValueError):
+            fn(state, optim.GradPack(x=g.x))
+    with pytest.raises(ValueError, match="sgd_step"):
+        optim.sgd_step(state, optim.GradPack(skew=mf.skew_grad(state.w, g.w), x=g.x))
+    assert state.k == 0
 
 
 def test_steps_share_the_unconstrained_update():

@@ -7,7 +7,7 @@ from orthocd import blas
 from orthocd import manifold as mf
 from orthocd import rnn
 
-from oracles import (cayley_pair, central_diff, rnn_backward_per_step,
+from oracles import (cayley_solve, central_diff, rnn_backward_per_step,
                      rnn_forward, softmax_xent)
 
 
@@ -169,10 +169,15 @@ def test_loss_extreme_logits_finite():
 # backward
 # ---------------------------------------------------------------------------
 
+def _grad_block(params, grads, block):
+    """The Euclidean gradient of one block; for W it is G = W A."""
+    return params.w @ grads.a if block == "w" else getattr(grads, block)
+
+
 def _fd_check(params, inputs, targets, mask, block, n_samples, rng, tol=1e-5):
     _, grads = rnn.backward(params, inputs, targets, mask)
     arr = getattr(params, block)
-    got = getattr(grads, block)
+    got = _grad_block(params, grads, block)
     assert got.shape == arr.shape
 
     def value():
@@ -194,6 +199,25 @@ def test_backward_matches_finite_differences(block):
     inputs = rng.standard_normal((3, 10, 4))
     targets = rng.integers(0, 3, (3, 10))
     _fd_check(params, inputs, targets, None, block, 20, rng)
+
+
+def test_backward_a_is_w_transpose_of_the_fd_gradient():
+    # A = W^T G against G from central differences over every entry of W
+    rng = np.random.default_rng(10)
+    params = make_params(d=6, d_in=4, d_out=3, seed=11)
+    inputs = rng.standard_normal((3, 10, 4))
+    targets = rng.integers(0, 3, (3, 10))
+    _, grads = rnn.backward(params, inputs, targets)
+
+    def value():
+        return rnn.loss(rnn.forward(params, inputs).logits, targets)
+
+    flat = params.w.reshape(-1)
+    g_fd = np.array([central_diff(value, flat, idx, h=1e-6)
+                     for idx in range(flat.size)]).reshape(params.w.shape)
+    want = params.w.T @ g_fd
+    assert grads.a.shape == want.shape
+    assert np.all(np.abs(grads.a - want) <= 1e-5 * np.maximum(1.0, np.abs(want)))
 
 
 def test_backward_respects_mask():
@@ -225,7 +249,7 @@ def test_backward_zero_input_gives_zero_bmod_grad():
     targets = np.zeros((1, 5), dtype=np.int64)
     _, grads = rnn.backward(params, inputs, targets)
     assert np.array_equal(grads.b_mod, np.zeros(params.d))
-    assert np.array_equal(grads.w, np.zeros((params.d, params.d)))
+    assert np.array_equal(grads.a, np.zeros((params.d, params.d)))
     assert np.array_equal(grads.w_in, np.zeros_like(params.w_in))
 
 
@@ -237,14 +261,14 @@ def test_backward_gradient_zero_where_mask_empty():
     value, grads = rnn.backward(params, inputs, targets,
                                 np.zeros((1, 4), dtype=bool))
     assert value == 0.0
-    for block in (grads.w_in, grads.w, grads.w_out, grads.b_out, grads.b_mod):
+    for block in (grads.w_in, grads.a, grads.w_out, grads.b_out, grads.b_mod):
         assert np.array_equal(block, np.zeros_like(block))
 
 
-def _assert_grads_close(value, grads, ref_value, ref, rel=1e-12):
+def _assert_grads_close(params, value, grads, ref_value, ref, rel=1e-12):
     assert value == pytest.approx(ref_value, rel=rel, abs=0.0)
     for name, want in ref.items():
-        got = getattr(grads, name)
+        got = _grad_block(params, grads, name)
         assert got.shape == want.shape, name
         scale = max(float(np.abs(want).max()), 1e-300)
         assert float(np.abs(got - want).max()) <= rel * scale, name
@@ -262,13 +286,13 @@ def test_backward_matches_per_step_oracle(activation):
         got = rnn.backward(params, inputs, targets, activation=activation, **kwargs)
         want = rnn_backward_per_step(params, inputs, targets,
                                      activation=activation, **kwargs)
-        _assert_grads_close(*got, *want)
+        _assert_grads_close(params, *got, *want)
     # 2-D input and targets: a batch of one
     got = rnn.backward(params, inputs[1], targets[1], mask[1], h0=h0,
                        activation=activation)
     want = rnn_backward_per_step(params, inputs[1:2], targets[1:2], mask[1:2],
                                  h0=h0, activation=activation)
-    _assert_grads_close(*got, *want)
+    _assert_grads_close(params, *got, *want)
 
 
 def test_backward_matches_per_step_oracle_on_one_hot_batches():
@@ -279,7 +303,7 @@ def test_backward_matches_per_step_oracle_on_one_hot_batches():
     targets = rng.integers(0, 5, (4, 30))
     got = rnn.backward(params, inputs, targets)
     want = rnn_backward_per_step(params, inputs, targets)
-    _assert_grads_close(*got, *want)
+    _assert_grads_close(params, *got, *want)
 
 
 def test_backward_peak_memory_is_bounded():
@@ -341,11 +365,13 @@ def test_grads_x_blocks_cover_unconstrained_parameters():
 # ---------------------------------------------------------------------------
 
 def test_cayley_block_init_matches_closed_form():
+    # the closed-form blocks against the Cayley transform as a linear solve
     angles = np.array([0.3, -1.2, 2.5])
     w = rnn.cayley_block_init(6, angles=angles)
-    for b, s in enumerate(angles):
-        blk = w[2 * b:2 * b + 2, 2 * b:2 * b + 2]
-        assert np.allclose(blk, cayley_pair(s), atol=1e-14)
+    assert np.allclose(w, cayley_solve(angles), rtol=0.0, atol=1e-14)
+    again = rnn.cayley_block_init(6, seed=7)
+    angles = np.random.default_rng(7).uniform(-np.pi, np.pi, size=3)
+    assert np.allclose(again, cayley_solve(angles), rtol=0.0, atol=1e-14)
     off = w.copy()
     for b in range(3):
         off[2 * b:2 * b + 2, 2 * b:2 * b + 2] = 0.0
@@ -453,6 +479,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     garbled_path.write_bytes(bytes(garbled))
     with pytest.raises(ValueError):
         rnn.load_checkpoint(garbled_path)
+
+
+def test_checkpoint_rejects_short_header(tmp_path):
+    # shorter than the 29-byte header: the magic and two bytes
+    params = rnn.init_params(8, 5, 4, seed=26)
+    path = tmp_path / "model.bin"
+    rnn.save_checkpoint(path, params, seed=0)
+    short = tmp_path / "header.bin"
+    short.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match="truncated checkpoint header"):
+        rnn.load_checkpoint(short)
 
 
 def test_checkpoint_rejects_non_finite_entries(tmp_path):
