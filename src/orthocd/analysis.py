@@ -207,7 +207,12 @@ def bench_update(
     counts in force go to run_meta.json.  Setup and allocation stay
     outside the timed region, and the same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
-    flops field is the optimizer's analytic W-path count, not measured.
+    flops field is the optimizer's analytic W-path count, not measured,
+    and it prices a step handed G on both phases.  A backward_update
+    cell hands S, so its count includes work that cell does not pay:
+    the 2d^3 W^T G that forms S, or for srcd-u the 4d two-column
+    partial that S gives in O(1).  Pricing S would need a second cost
+    per optimizer.
     """
     entry = _BENCHED.get(optimizer)
     if entry is None:

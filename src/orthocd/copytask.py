@@ -126,10 +126,11 @@ def baseline_loss(cfg: CopyTaskConfig) -> float:
 
 
 def accuracy(logits: np.ndarray, batch: CopyTaskBatch, cfg: CopyTaskConfig) -> float:
-    """Fraction of the final K positions whose argmax matches the target."""
+    """Fraction of the final K positions whose argmax matches the
+    target; `logits` is batch-first (B, T, n_output_classes)."""
     logits = np.asarray(logits)
-    if logits.ndim == 2:
-        logits = logits[None]
+    if logits.ndim != 3:
+        raise ValueError(f"logits must be (B, T, n_classes), got shape {logits.shape}")
     k = cfg.copy_len
     pred = logits[:, -k:, :].argmax(axis=-1)
     return float((pred == batch.targets[:, -k:]).mean())

@@ -62,7 +62,6 @@ __all__ = [
     "apply_block",
     "schedule_step",
     "select_block_gs",
-    "select_gauss_southwell",
     "select_uniform",
     "sgd_step",
     "srcd_step",
@@ -213,8 +212,9 @@ def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
 
 
 def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
-    """The 0-based column pair of select_gauss_southwell(skew_partials(S)),
-    without the gather.
+    """The 0-based column pair of the greedy coordinate
+    argmax_i |skew_partials(S)_i| (ties to the smallest i), without the
+    gather.
 
     |S|/sqrt(2) holds the partials' magnitudes bitwise (dividing first
     keeps ties that the rounding of the division creates).  It is
@@ -361,14 +361,6 @@ def select_uniform(rng: np.random.Generator, n_coords: int) -> int:
     if n_coords < 1:
         raise ValueError("n_coords must be >= 1")
     return int(rng.integers(1, n_coords + 1))
-
-
-def select_gauss_southwell(partials: np.ndarray) -> int:
-    """argmax_i |v_i|, 1-based; ties go to the smallest index."""
-    v = np.asarray(partials)
-    if v.size == 0:
-        raise ValueError("empty partials vector")
-    return int(np.argmax(np.abs(v))) + 1
 
 
 def select_block_gs(partials: np.ndarray, block_size: int, d: int) -> list[int]:

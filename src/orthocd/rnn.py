@@ -1,25 +1,27 @@
 """Minimal recurrent network with an orthogonal recurrence.
 
-    h(t) = phi(W_in x(t) + W h(t-1)),    y(t) = W_out h(t) + b_out,
+    h(t) = phi(W_in x(t) + W h(t-1)),    h(-1) = 0,    y(t) = W_out h(t) + b_out,
 
-with phi the modReLU activation (Arjovsky, Shah & Bengio, ICML 2016).
-`backward` accumulates exact BPTT gradients for every parameter block.
-For W it returns A = W^T G, G the raw Euclidean gradient: every step on
-O(d) reads S = A - A^T (see `manifold`), and the reverse loop yields A
-for the cost of the dW product it replaces, so no caller pays a d^3
-product W^T G.
+with phi the modReLU activation (Arjovsky, Shah & Bengio, ICML 2016):
+the one model the package trains.  `backward` accumulates exact BPTT
+gradients for every parameter block.  For W it returns A = W^T G, G the
+raw Euclidean gradient: every step on O(d) reads S = A - A^T (see
+`manifold`), and the reverse loop yields A for the cost of the dW
+product it replaces, so no caller pays a d^3 product W^T G.
 
-The public API is batch-first: inputs (B, T, d_in), targets and masks
-(B, T), ForwardTrace fields (B, T, .).  A 2D input (T, d_in) is
-treated as a batch of one.  Inside, one recurrence (`_recur`) runs
-time-major on contiguous (T, B, d) arrays, so every per-step slice is
-contiguous; the trace fields are transposed views of them.  `forward`
-stores hidden states, preactivations and logits.  `logits` runs the
-same evaluation, bitwise, but stores no preactivations: it holds the
-(T, B, d) hidden states only until the logits are formed.  `backward`
-stores only the hidden states, and its memory peak is about two
-(T, B, d) float64 arrays.  All math is in float64 and every function
-here is deterministic, so a fixed seed reproduces runs bitwise.
+The public API is batch-first and takes no other form: inputs
+(B, T, d_in), logits (B, T, d_out), targets and masks (B, T),
+ForwardTrace fields (B, T, .); a 2D input raises ValueError.  Inside,
+one recurrence (`_recur`) runs time-major on contiguous (T, B, d)
+arrays, so every per-step slice is contiguous; the trace fields are
+transposed views of them.  `forward` stores hidden states,
+preactivations and logits.  `logits` runs the same evaluation, bitwise,
+but stores no preactivations: it holds the (T, B, d) hidden states only
+until the logits are formed.  `backward` stores only the hidden states,
+and its memory peak is about two (T, B, d) float64 arrays.  `loss` and
+`backward` share one softmax cross-entropy.  All math is in float64
+and every function here is deterministic, so a fixed seed reproduces
+runs bitwise.
 
 modReLU step.  `_recur` writes sign(pre) into a (B, d) scratch buffer
 and multiplies it by the magnitude into `pre`, because on numpy 2.4.6
@@ -101,10 +103,6 @@ class RnnParams:
         return {"w_in": self.w_in, "w_out": self.w_out,
                 "b_out": self.b_out, "b_mod": self.b_mod}
 
-    def copy(self) -> "RnnParams":
-        return RnnParams(self.w_in.copy(), self.w.copy(), self.w_out.copy(),
-                         self.b_out.copy(), self.b_mod.copy())
-
     def check(self) -> None:
         """Trust-boundary check, run on checkpoint save and load: shapes
         agree, every entry is finite and ||W^T W - I||_F <= ORTHOGONALITY_TOL
@@ -136,7 +134,8 @@ class ForwardTrace:
 @dataclass
 class Grads:
     """Euclidean gradients of the unconstrained blocks, same shapes as
-    RnnParams, and A = W^T G for the orthogonal one.
+    RnnParams, and A = W^T G for the orthogonal one, where G sums
+    dL/dpre(t)^T h(t-1) over the steps with h(-1) = 0.
 
     S = manifold.antisym(a) = W^T G - G^T W is what a step on W reads:
     the Riemannian gradient, the coordinate partials and its norm all
@@ -160,13 +159,12 @@ def modrelu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) + b, 0.0)
 
 
-def _as_batched(inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 2:
-        inputs = inputs[None]
-    if inputs.ndim != 3:
-        raise ValueError(f"inputs must be (B, T, d_in) or (T, d_in), got {inputs.shape}")
-    return inputs
+def _as_batched(arr: np.ndarray, name: str, last: str) -> np.ndarray:
+    """`arr` as float64; it must be batch-first (B, T, `last`)."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"{name} must be (B, T, {last}), got shape {arr.shape}")
+    return arr
 
 
 def _thread_policy(params: RnnParams, bsz: int, steps: int):
@@ -180,28 +178,21 @@ def _thread_policy(params: RnnParams, bsz: int, steps: int):
 def _recur(
     params: RnnParams,
     inputs: np.ndarray,
-    h0: np.ndarray | None,
-    activation: str,
     preact: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The recurrence, time-major.
+    """The recurrence, time-major, from h(-1) = 0.
 
     Takes batch-first inputs (B, T, d_in) and returns (x, hidden): the
     inputs as a contiguous (T, B, d_in) copy and the hidden states as a
     contiguous (T, B, d) array.  W_in x(t) for all steps is one GEMM
-    written straight into `hidden`; each step then adds W h(t-1) and
-    applies the activation in place.  A (T, B, d) `preact` array, when
-    given, receives the preactivations.
+    written straight into `hidden`; each step from t = 1 then adds
+    W h(t-1), and every step applies modReLU in place.  A (T, B, d)
+    `preact` array, when given, receives the preactivations.
     """
     bsz, steps, d_in = inputs.shape
     if d_in != params.d_in:
         raise ValueError(f"input feature dim {d_in} != params d_in {params.d_in}")
-    if activation not in ("modrelu", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
     d = params.d
-    h = None if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (bsz, d))
-
     x = np.ascontiguousarray(inputs.transpose(1, 0, 2))
     hidden = np.empty((steps, bsz, d))
     np.matmul(x.reshape(-1, d_in), params.w_in.T, out=hidden.reshape(-1, d))
@@ -210,66 +201,48 @@ def _recur(
     sgn = np.empty((bsz, d))  # np.sign in place is slow: module docstring
     for t in range(steps):
         pre = hidden[t]
-        if h is not None:
-            pre += h @ w_t
+        if t:
+            pre += hidden[t - 1] @ w_t
         if preact is not None:
             preact[t] = pre
-        if activation == "modrelu":  # modrelu(pre, b_mod), into pre
-            np.abs(pre, out=mag)
-            mag += params.b_mod
-            np.maximum(mag, 0.0, out=mag)
-            np.sign(pre, out=sgn)
-            np.multiply(sgn, mag, out=pre)
-        h = pre
+        np.abs(pre, out=mag)  # modrelu(pre, b_mod), into pre
+        mag += params.b_mod
+        np.maximum(mag, 0.0, out=mag)
+        np.sign(pre, out=sgn)
+        np.multiply(sgn, mag, out=pre)
     return x, hidden
 
 
 def _evaluate(
     params: RnnParams,
     inputs: np.ndarray,
-    h0: np.ndarray | None,
-    activation: str,
     keep_preact: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(hidden, preact or None, logits), time-major: the one evaluation
     behind `forward` and `logits`."""
-    inputs = _as_batched(inputs)
+    inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
     preact = np.empty((steps, bsz, params.d)) if keep_preact else None
     with _thread_policy(params, bsz, steps):
-        _, hidden = _recur(params, inputs, h0, activation, preact)
+        _, hidden = _recur(params, inputs, preact)
         out = hidden @ params.w_out.T + params.b_out
     return hidden, preact, out
 
 
-def forward(
-    params: RnnParams,
-    inputs: np.ndarray,
-    h0: np.ndarray | None = None,
-    activation: str = "modrelu",
-) -> ForwardTrace:
-    """Run the recurrence over a batch of sequences.
-
-    `activation` is "modrelu" or "identity"; the identity hook exists so
-    tests can isolate the linear dynamics (orthogonal W preserves the
-    hidden-state norm exactly in that mode).  The trace fields are
-    (B, T, .) views of time-major arrays.
-    """
-    hidden, preact, out = _evaluate(params, inputs, h0, activation, keep_preact=True)
+def forward(params: RnnParams, inputs: np.ndarray) -> ForwardTrace:
+    """Run the recurrence from h(-1) = 0 over a batch of sequences
+    (B, T, d_in).  The trace fields are (B, T, .) views of time-major
+    arrays."""
+    hidden, preact, out = _evaluate(params, inputs, keep_preact=True)
     return ForwardTrace(hidden=hidden.transpose(1, 0, 2),
                         preact=preact.transpose(1, 0, 2),
                         logits=out.transpose(1, 0, 2))
 
 
-def logits(
-    params: RnnParams,
-    inputs: np.ndarray,
-    h0: np.ndarray | None = None,
-    activation: str = "modrelu",
-) -> np.ndarray:
+def logits(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
     """The (B, T, d_out) logits of `forward`, bitwise, without storing
     the preactivations (a (B, T, d_out) view of a time-major array)."""
-    return _evaluate(params, inputs, h0, activation, keep_preact=False)[2].transpose(1, 0, 2)
+    return _evaluate(params, inputs, keep_preact=False)[2].transpose(1, 0, 2)
 
 
 def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -286,11 +259,27 @@ def _resolve_mask(mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray
     if mask is None:
         return np.ones(shape, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == len(shape) - 1:
-        mask = mask[None]
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} != {shape}")
     return mask
+
+
+def _xent(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    mask: np.ndarray,
+    count: int,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The one softmax cross-entropy: (value, ez, sez), value the mean
+    of lse - picked over the `count` > 0 masked positions, ez =
+    exp(logits - max) and sez its sum over the classes (keepdims).
+    Log-sum-exp uses max-subtraction."""
+    m = logits.max(axis=-1, keepdims=True)
+    ez = np.exp(logits - m)
+    sez = ez.sum(axis=-1, keepdims=True)
+    lse = np.log(sez[..., 0]) + m[..., 0]
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return float((lse - picked)[mask].sum() / count), ez, sez
 
 
 def loss(
@@ -298,25 +287,14 @@ def loss(
     targets: np.ndarray,
     mask: np.ndarray | None = None,
 ) -> float:
-    """Softmax cross-entropy, averaged over the masked (batch, step)
-    positions.  Log-sum-exp uses max-subtraction.  An all-false mask
-    gives a constant loss, defined as 0."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim == 2:
-        logits = logits[None]
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        targets = targets[None]
+    """Softmax cross-entropy of (B, T, d_out) logits, averaged over the
+    masked (batch, step) positions.  An all-false mask gives a constant
+    loss, defined as 0."""
+    logits = _as_batched(logits, "logits", "d_out")
     targets = _check_targets(logits, targets)
     mask = _resolve_mask(mask, logits.shape[:-1])
     count = int(mask.sum())
-    if count == 0:
-        return 0.0
-    m = logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=-1)) + m[..., 0]
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    ce = lse - picked
-    return float(ce[mask].sum() / count)
+    return _xent(logits, targets, mask, count)[0] if count else 0.0
 
 
 def _loss_and_dlogits(
@@ -328,14 +306,8 @@ def _loss_and_dlogits(
     count = int(mask.sum())
     if count == 0:
         return 0.0, np.zeros_like(logits)
-    m = logits.max(axis=-1, keepdims=True)
-    ez = np.exp(logits - m)
-    sez = ez.sum(axis=-1, keepdims=True)
-    softmax = ez / sez
-    lse = np.log(sez[..., 0]) + m[..., 0]
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    value = float(((lse - picked)[mask]).sum() / count)
-    dlogits = softmax
+    value, dlogits, sez = _xent(logits, targets, mask, count)
+    dlogits /= sez  # softmax
     np.put_along_axis(
         dlogits, targets[..., None],
         np.take_along_axis(dlogits, targets[..., None], axis=-1) - 1.0, axis=-1)
@@ -348,10 +320,10 @@ def backward(
     inputs: np.ndarray,
     targets: np.ndarray,
     mask: np.ndarray | None = None,
-    h0: np.ndarray | None = None,
-    activation: str = "modrelu",
 ) -> tuple[float, Grads]:
-    """Forward pass plus exact reverse-mode accumulation through time.
+    """Forward pass from h(-1) = 0 plus exact reverse-mode accumulation
+    through time, over batch-first inputs (B, T, d_in) with (B, T)
+    targets and mask.
 
     Returns (loss, Grads).  The modReLU subgradient is 0 both at the
     kink |x| + b = 0 and at x = 0.
@@ -365,18 +337,15 @@ def backward(
     shape of the dW product, and dW_in = W (C^T X) since
     dL/dpre(t) = carry(t) W^T.
     """
-    inputs = _as_batched(inputs)
+    inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        targets = targets[None]
     with _thread_policy(params, bsz, steps):
-        return _backward(params, inputs, targets, mask, h0, activation)
+        return _backward(params, inputs, targets, mask)
 
 
-def _backward(params, inputs, targets, mask, h0, activation) -> tuple[float, Grads]:
+def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
     bsz, steps, _ = inputs.shape
-    x, hidden = _recur(params, inputs, h0, activation)
+    x, hidden = _recur(params, inputs)
     logits = hidden @ params.w_out.T + params.b_out
     # the loss over (B, T) views, so its summation order is batch-first
     logits_bt = logits.transpose(1, 0, 2)
@@ -403,21 +372,17 @@ def _backward(params, inputs, targets, mask, h0, activation) -> tuple[float, Gra
             np.add(carry[t], carry[t + 1], out=dh)
         else:
             dh[...] = carry[t]
-        if activation == "modrelu":
-            np.sign(hidden[t], out=sgn)
-            dh *= sgn                 # dL/dpre * sign(pre) where active
-            b_mod += dh
-            dh *= sgn                 # dL/dpre: sign^2 is the active mask
+        np.sign(hidden[t], out=sgn)
+        dh *= sgn                 # dL/dpre * sign(pre) where active
+        b_mod += dh
+        dh *= sgn                 # dL/dpre: sign^2 is the active mask
         np.matmul(dh, params.w, out=carry[t])
 
     flat_carry = carry.reshape(rows, d)
-    # A = W^T dW = sum_t carry(t)^T h(t-1), with h(-1) = h0 (zero by default)
-    a = flat_carry[bsz:].T @ flat_hidden[:rows - bsz]
-    if h0 is not None and steps:
-        a += carry[0].T @ np.broadcast_to(np.asarray(h0, dtype=np.float64), (bsz, d))
+    # A = W^T dW = sum_t carry(t)^T h(t-1); h(-1) = 0 drops t = 0
     grads = Grads(
         w_in=params.w @ (flat_carry.T @ x.reshape(rows, params.d_in)),
-        a=a,
+        a=flat_carry[bsz:].T @ flat_hidden[:rows - bsz],
         w_out=g_w_out,
         b_out=g_b_out,
         b_mod=b_mod.sum(axis=0),

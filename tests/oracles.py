@@ -81,8 +81,9 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray,
     return total / count if count else 0.0
 
 
-def rnn_forward(params, inputs: np.ndarray, activation: str = "modrelu"):
-    """Step-by-step recurrence with per-sample matvec loops.
+def rnn_forward(params, inputs: np.ndarray):
+    """Step-by-step modReLU recurrence from h(-1) = 0, with per-sample
+    matvec loops.
 
     Returns (hidden, logits) shaped like the library's ForwardTrace
     fields.
@@ -95,13 +96,20 @@ def rnn_forward(params, inputs: np.ndarray, activation: str = "modrelu"):
         h = np.zeros(d)
         for ti in range(t):
             pre = params.w_in @ inputs[bi, ti] + params.w @ h
-            if activation == "modrelu":
-                h = np.sign(pre) * np.maximum(np.abs(pre) + params.b_mod, 0.0)
-            else:
-                h = pre.copy()
+            h = np.sign(pre) * np.maximum(np.abs(pre) + params.b_mod, 0.0)
             hidden[bi, ti] = h
     logits = hidden @ params.w_out.T + params.b_out
     return hidden, logits
+
+
+def select_gauss_southwell(partials: np.ndarray) -> int:
+    """The greedy coordinate argmax_i |v_i|, 1-based, ties to the
+    smallest index, straight from the partials vector: the reference
+    for the step's gather-free pick from S."""
+    v = np.asarray(partials)
+    if v.size == 0:
+        raise ValueError("empty partials vector")
+    return int(np.argmax(np.abs(v))) + 1
 
 
 def central_diff(f, arr: np.ndarray, idx, h: float = 1e-6) -> float:
@@ -146,22 +154,17 @@ def cayley_solve(angles: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye + a, eye - a)
 
 
-def rnn_backward_per_step(params, inputs, targets, mask=None, h0=None,
-                          activation="modrelu"):
-    """BPTT batch-first, with dW, dW_in and b_mod accumulated one time
-    step at a time and the modReLU mask read from the stored
-    preactivations (the loop the library's time-major backward
-    replaced).  Returns (loss, dict of gradient blocks)."""
+def rnn_backward_per_step(params, inputs, targets, mask=None):
+    """BPTT batch-first from h(-1) = 0, with dW, dW_in and b_mod
+    accumulated one time step at a time and the modReLU mask read from
+    the stored preactivations (the loop the library's time-major
+    backward replaced).  Returns (loss, dict of gradient blocks)."""
     from orthocd import rnn
 
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 2:
-        inputs = inputs[None]
     bsz, steps, _ = inputs.shape
     targets = np.asarray(targets)
-    if targets.ndim == 1:
-        targets = targets[None]
-    trace = rnn.forward(params, inputs, h0=h0, activation=activation)
+    trace = rnn.forward(params, inputs)
     preact = np.ascontiguousarray(trace.preact)
     hidden = np.ascontiguousarray(trace.hidden)
     mask = rnn._resolve_mask(mask, trace.logits.shape[:-1])
@@ -173,20 +176,15 @@ def rnn_backward_per_step(params, inputs, targets, mask=None, h0=None,
          "w_out": np.einsum("btc,btd->cd", dlogits, hidden),
          "b_out": dlogits.sum(axis=(0, 1)), "b_mod": np.zeros_like(params.b_mod)}
     dh_out = dlogits @ params.w_out
-    h_first = np.zeros((bsz, d)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (bsz, d))
     carry = np.zeros((bsz, d))
     for t in range(steps - 1, -1, -1):
         dh = dh_out[:, t] + carry
         pre = preact[:, t]
-        if activation == "modrelu":
-            active = ((np.abs(pre) + params.b_mod) > 0.0) & (pre != 0.0)
-            dpre = dh * active
-            g["b_mod"] += (dpre * np.sign(pre)).sum(axis=0)
-        else:
-            dpre = dh
+        active = ((np.abs(pre) + params.b_mod) > 0.0) & (pre != 0.0)
+        dpre = dh * active
+        g["b_mod"] += (dpre * np.sign(pre)).sum(axis=0)
         g["w_in"] += dpre.T @ inputs[:, t]
-        h_prev = hidden[:, t - 1] if t > 0 else h_first
-        g["w"] += dpre.T @ h_prev
+        if t > 0:  # h(-1) = 0
+            g["w"] += dpre.T @ hidden[:, t - 1]
         carry = dpre @ params.w
     return value, g

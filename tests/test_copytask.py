@@ -144,3 +144,12 @@ def test_accuracy_counts_recall_positions_only():
     logits[0, -1] = 0.0
     logits[0, -1, (data.targets[0, -1] + 1) % cfg.n_output_classes] = 9.0
     assert ct.accuracy(logits, data, cfg) == pytest.approx(0.5)
+
+
+def test_accuracy_rejects_2d_logits():
+    # batch-first only: one sequence's (T, classes) logits are refused
+    cfg = ct.CopyTaskConfig(alphabet=4, copy_len=2, lag=3, batch=1)
+    data = ct.generate_batch(cfg, rng=np.random.default_rng(5))
+    logits = ct.one_hot(data.targets, cfg.n_output_classes)
+    with pytest.raises(ValueError, match=r"\(7, 5\)"):
+        ct.accuracy(logits[0], data, cfg)

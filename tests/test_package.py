@@ -1,5 +1,7 @@
 import importlib
+import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,11 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's python block runs against the public API as it is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,12 @@ from oracles import (cayley_solve, central_diff, rnn_backward_per_step,
 
 def make_params(d=6, d_in=4, d_out=3, seed=0):
     return rnn.init_params(d, d_in, d_out, seed=seed)
+
+
+def linear(params):
+    """`params` with b_mod = 0, where modReLU is sign(x)|x| = x: the
+    linear dynamics, isolated."""
+    return dataclasses.replace(params, b_mod=np.zeros(params.d))
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +49,9 @@ def test_forward_matches_looped_oracle():
     rng = np.random.default_rng(1)
     params = make_params(seed=2)
     inputs = rng.standard_normal((3, 7, params.d_in))
-    for activation in ("modrelu", "identity"):
-        trace = rnn.forward(params, inputs, activation=activation)
-        hidden, logits = rnn_forward(params, inputs, activation=activation)
+    for p in (params, linear(params)):
+        trace = rnn.forward(p, inputs)
+        hidden, logits = rnn_forward(p, inputs)
         assert trace.hidden.shape == (3, 7, params.d)
         assert trace.logits.shape == (3, 7, params.d_out)
         assert np.allclose(trace.hidden, hidden, atol=1e-13)
@@ -51,40 +59,44 @@ def test_forward_matches_looped_oracle():
 
 
 def test_forward_identity_preserves_hidden_norm():
-    # orthogonal W, identity activation, zero input after t = 0
-    params = make_params(d=8, d_in=2, seed=3)
+    # orthogonal W, b_mod = 0 (identity activation), zero input after t = 0
+    params = linear(make_params(d=8, d_in=2, seed=3))
     inputs = np.zeros((1, 20, 2))
     inputs[0, 0] = (1.0, -1.0)
-    trace = rnn.forward(params, inputs, activation="identity")
+    trace = rnn.forward(params, inputs)
     norms = np.linalg.norm(trace.hidden[0], axis=1)
     assert np.allclose(norms, norms[0], atol=1e-12)
 
 
-def test_forward_2d_input_lifts_to_batch_one():
+def test_rnn_rejects_2d_inputs():
+    # batch-first only: a single sequence is refused, naming its shape,
+    # not lifted to a batch of one
     rng = np.random.default_rng(4)
     params = make_params(seed=5)
     seq = rng.standard_normal((9, params.d_in))
-    a = rnn.forward(params, seq)
-    b = rnn.forward(params, seq[None])
-    assert np.array_equal(a.logits, b.logits)
+    targets = rng.integers(0, params.d_out, 9)
+    logits = rng.standard_normal((9, params.d_out))
+    for call, shape in (
+            (lambda: rnn.forward(params, seq), seq.shape),
+            (lambda: rnn.logits(params, seq), seq.shape),
+            (lambda: rnn.backward(params, seq, targets[None]), seq.shape),
+            (lambda: rnn.loss(logits, targets), logits.shape),
+            (lambda: rnn.loss(logits[None], targets[None], targets > 0), (9,)),
+            (lambda: rnn.backward(params, seq[None], targets), targets.shape)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            call()
 
 
-def test_forward_h0_and_validation():
+def test_forward_rejects_wrong_input_dim():
     rng = np.random.default_rng(6)
     params = make_params(seed=7)
     inputs = rng.standard_normal((2, 5, params.d_in))
-    h0 = rng.standard_normal(params.d)
-    a = rnn.forward(params, inputs, h0=h0)
-    b = rnn.forward(params, inputs)
-    assert not np.allclose(a.hidden[:, 0], b.hidden[:, 0])
     with pytest.raises(ValueError):
         rnn.forward(params, inputs[:, :, :2])  # wrong d_in
-    with pytest.raises(ValueError):
-        rnn.forward(params, inputs, activation="relu")
 
 
 def _batch_with_zero_preactivations():
-    # sequence 0 is all zeros and h0 is None, so every one of its
+    # sequence 0 is all zeros and h(-1) = 0, so every one of its
     # preactivations is exactly 0; b_mod > 0 on half the units, where a
     # copysign-style modReLU would give +-b instead of modReLU's 0
     rng = np.random.default_rng(40)
@@ -104,21 +116,19 @@ def test_forward_hidden_is_modrelu_of_preact_bitwise():
     assert np.array_equal(trace.hidden, want)
     assert np.array_equal(np.signbit(trace.hidden), np.signbit(want))
     assert np.count_nonzero(trace.preact == 0.0) >= 9 * params.d
-    ident = rnn.forward(params, inputs, activation="identity")
+    ident = rnn.forward(linear(params), inputs)
     assert np.array_equal(ident.hidden, ident.preact)
     value, _ = rnn.backward(params, inputs, targets)
     assert value == rnn.loss(trace.logits, targets)
 
 
 def test_logits_equal_forward_logits_bitwise():
-    rng = np.random.default_rng(42)
     params, inputs, _ = _batch_with_zero_preactivations()
-    h0 = rng.standard_normal(params.d)
-    for activation in ("modrelu", "identity"):
-        for x, start in ((inputs, None), (inputs, h0), (inputs[2], None), (inputs[2], h0)):
-            got = rnn.logits(params, x, h0=start, activation=activation)
-            want = rnn.forward(params, x, h0=start, activation=activation).logits
-            assert got.shape == want.shape == (len(x) if x.ndim == 3 else 1, 9, params.d_out)
+    for p in (params, linear(params)):
+        for x in (inputs, inputs[2:3]):
+            got = rnn.logits(p, x)
+            want = rnn.forward(p, x).logits
+            assert got.shape == want.shape == (len(x), 9, params.d_out)
             assert np.array_equal(got, want)
 
 
@@ -276,22 +286,21 @@ def _assert_grads_close(params, value, grads, ref_value, ref, rel=1e-12):
 
 @pytest.mark.parametrize("activation", ["modrelu", "identity"])
 def test_backward_matches_per_step_oracle(activation):
+    # "identity" is modReLU with b_mod = 0: the linear dynamics
     rng = np.random.default_rng(20)
     params = make_params(d=8, d_in=5, d_out=4, seed=21)
+    if activation == "identity":
+        params = linear(params)
     inputs = rng.standard_normal((3, 12, 5))
     targets = rng.integers(0, 4, (3, 12))
     mask = rng.random((3, 12)) < 0.6
-    h0 = rng.standard_normal(8)
-    for kwargs in ({}, {"mask": mask}, {"h0": h0}, {"mask": mask, "h0": h0}):
-        got = rnn.backward(params, inputs, targets, activation=activation, **kwargs)
-        want = rnn_backward_per_step(params, inputs, targets,
-                                     activation=activation, **kwargs)
+    for kwargs in ({}, {"mask": mask}):
+        got = rnn.backward(params, inputs, targets, **kwargs)
+        want = rnn_backward_per_step(params, inputs, targets, **kwargs)
         _assert_grads_close(params, *got, *want)
-    # 2-D input and targets: a batch of one
-    got = rnn.backward(params, inputs[1], targets[1], mask[1], h0=h0,
-                       activation=activation)
-    want = rnn_backward_per_step(params, inputs[1:2], targets[1:2], mask[1:2],
-                                 h0=h0, activation=activation)
+    # a batch of one
+    got = rnn.backward(params, inputs[1:2], targets[1:2], mask[1:2])
+    want = rnn_backward_per_step(params, inputs[1:2], targets[1:2], mask[1:2])
     _assert_grads_close(params, *got, *want)
 
 
