@@ -17,8 +17,10 @@ arrays, so every per-step slice is contiguous; the trace fields are
 transposed views of them.  `forward` stores hidden states,
 preactivations and logits.  `logits` runs the same evaluation, bitwise,
 but stores no preactivations: it holds the (T, B, d) hidden states only
-until the logits are formed.  `backward` stores only the hidden states,
-and its memory peak is about two (T, B, d) float64 arrays.  `loss` and
+until the logits are formed.  `backward` stores only the hidden states
+and a fixed chunk of CHUNK_ROWS (step, batch) rows for its reverse
+sweep, so its memory peak is about one (T, B, d) float64 array plus
+that chunk, two such arrays when T*B fits in one chunk.  `loss` and
 `backward` share one softmax cross-entropy.  All math is in float64
 and every function here is deterministic, so a fixed seed reproduces
 runs bitwise.
@@ -74,6 +76,7 @@ __all__ = [
 _CKPT_MAGIC = b"ORNNCKP\x00"
 _CKPT_VERSION = 1
 BPTT_THREADED_MIN_WORK = 2**25  # T*B*d*d; thread policy: see the module docstring
+CHUNK_ROWS = 4096  # steps x batch rows per chunk of BPTT's reverse sweep: see `backward`
 
 
 @dataclass
@@ -245,11 +248,14 @@ def logits(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
     return _evaluate(params, inputs, keep_preact=False)[2].transpose(1, 0, 2)
 
 
-def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _check_targets(
+    targets: np.ndarray,
+    shape: tuple[int, ...],
+    n_classes: int,
+) -> np.ndarray:
     targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise ValueError(f"targets shape {targets.shape} != {logits.shape[:-1]}")
-    n_classes = logits.shape[-1]
+    if targets.shape != shape:
+        raise ValueError(f"targets shape {targets.shape} != {shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ValueError(f"target class out of range [0, {n_classes})")
     return targets
@@ -291,7 +297,7 @@ def loss(
     masked (batch, step) positions.  An all-false mask gives a constant
     loss, defined as 0."""
     logits = _as_batched(logits, "logits", "d_out")
-    targets = _check_targets(logits, targets)
+    targets = _check_targets(targets, logits.shape[:-1], logits.shape[-1])
     mask = _resolve_mask(mask, logits.shape[:-1])
     count = int(mask.sum())
     return _xent(logits, targets, mask, count)[0] if count else 0.0
@@ -332,10 +338,16 @@ def backward(
     output h is nonzero exactly where its subgradient is 1, and there
     sign(h) = sign(pre).  The reverse loop does the elementwise work
     step by step and forms carry(t) = dL/dpre(t) W, the term it passes
-    to step t-1.  It writes carry(t) over dL/dh_out(t) in one (T, B, d)
-    buffer, so A = W^T dW = sum_t carry(t)^T h(t-1) is one GEMM of the
-    shape of the dW product, and dW_in = W (C^T X) since
-    dL/dpre(t) = carry(t) W^T.
+    to step t-1.  It runs over chunks of span = CHUNK_ROWS // B steps
+    (at least 1, at most T), the last steps first, in one (span, B, d)
+    buffer.  For each chunk, one GEMM writes dL/dh_out(t) into the
+    buffer, the loop writes carry(t) over it, and the chunk's shares of
+    A = W^T dW = sum_t carry(t)^T h(t-1) and of dW_in = W (C^T X)
+    (since dL/dpre(t) = carry(t) W^T) are formed from it.  The carry of
+    a chunk's first step passes to the next chunk in one (B, d) copy.
+    The first chunk's shares are A and dW_in and later ones are added
+    to them, so a T*B that fits in one chunk runs the same GEMMs, and
+    allocates the same arrays, as an unchunked sweep.
     """
     inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
@@ -345,44 +357,68 @@ def backward(
 
 def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
     bsz, steps, _ = inputs.shape
+    targets = _check_targets(targets, (bsz, steps), params.d_out)
+    mask = _resolve_mask(mask, (bsz, steps))
     x, hidden = _recur(params, inputs)
     logits = hidden @ params.w_out.T + params.b_out
     # the loss over (B, T) views, so its summation order is batch-first
-    logits_bt = logits.transpose(1, 0, 2)
-    targets = _check_targets(logits_bt, targets)
-    mask = _resolve_mask(mask, logits_bt.shape[:-1])
-    value, dlogits = _loss_and_dlogits(logits_bt, targets, mask)
-    del logits, logits_bt
+    value, dlogits = _loss_and_dlogits(logits.transpose(1, 0, 2), targets, mask)
+    del logits
     dlogits = np.ascontiguousarray(dlogits.transpose(1, 0, 2))
 
-    d, d_out = params.d, params.d_out
+    d, d_in, d_out = params.d, params.d_in, params.d_out
     rows = steps * bsz
     flat_dlogits = dlogits.reshape(rows, d_out)
-    flat_hidden = hidden.reshape(rows, d)
-    carry = np.empty((steps, bsz, d))  # dL/dh_out(t), then dL/dpre(t) W
-    np.matmul(flat_dlogits, params.w_out, out=carry.reshape(rows, d))
-    g_w_out = flat_dlogits.T @ flat_hidden
+    g_w_out = flat_dlogits.T @ hidden.reshape(rows, d)
     g_b_out = flat_dlogits.sum(axis=0)
-    del dlogits, flat_dlogits
+    span = max(1, min(steps, CHUNK_ROWS // max(bsz, 1)))
+    buf = np.empty((span, bsz, d))  # dL/dh_out(t), then carry(t) = dL/dpre(t) W
+    # the last chunk's dL/dh_out goes in before the scratch arrays below
+    # exist, so that a single chunk frees dlogits before they do
+    t0 = max(0, steps - span)
+    np.matmul(flat_dlogits[t0 * bsz:], params.w_out,
+              out=buf[:steps - t0].reshape(-1, d))
+    if t0 == 0:  # one chunk: dlogits is read for the last time
+        del dlogits, flat_dlogits
     b_mod = np.zeros((bsz, d))
     sgn = np.empty((bsz, d))
     dh = np.empty((bsz, d))
-    for t in range(steps - 1, -1, -1):
-        if t < steps - 1:
-            np.add(carry[t], carry[t + 1], out=dh)
+    g_w_in = a = None  # the first chunk's products, then sums
+    for t1 in range(steps, 0, -span):  # chunks [t0, t1), the last first
+        t0 = max(0, t1 - span)
+        chunk = buf[:t1 - t0]
+        if t1 < steps:
+            np.matmul(flat_dlogits[t0 * bsz:t1 * bsz], params.w_out,
+                      out=chunk.reshape(-1, d))
+        for t in range(t1 - 1, t0 - 1, -1):
+            i = t - t0
+            if t < t1 - 1:
+                np.add(chunk[i], chunk[i + 1], out=dh)
+            elif t1 < steps:
+                dh += chunk[i]    # dh holds carry(t1), from the later chunk
+            else:
+                dh[...] = chunk[i]
+            np.sign(hidden[t], out=sgn)
+            dh *= sgn             # dL/dpre * sign(pre) where active
+            b_mod += dh
+            dh *= sgn             # dL/dpre: sign^2 is the active mask
+            np.matmul(dh, params.w, out=chunk[i])
+        dh[...] = chunk[0]
+        # dW_in = W (C^T X); A = W^T dW = sum_t carry(t)^T h(t-1), and
+        # h(-1) = 0 drops t = 0
+        s = 1 if t0 == 0 else 0
+        part_w_in = params.w @ (chunk.reshape(-1, d).T @ x[t0:t1].reshape(-1, d_in))
+        part_a = chunk[s:].reshape(-1, d).T @ hidden[t0 + s - 1:t1 - 1].reshape(-1, d)
+        if a is None:
+            g_w_in, a = part_w_in, part_a
         else:
-            dh[...] = carry[t]
-        np.sign(hidden[t], out=sgn)
-        dh *= sgn                 # dL/dpre * sign(pre) where active
-        b_mod += dh
-        dh *= sgn                 # dL/dpre: sign^2 is the active mask
-        np.matmul(dh, params.w, out=carry[t])
-
-    flat_carry = carry.reshape(rows, d)
-    # A = W^T dW = sum_t carry(t)^T h(t-1); h(-1) = 0 drops t = 0
+            g_w_in += part_w_in
+            a += part_a
+    if a is None:  # no steps
+        g_w_in, a = np.zeros((d, d_in)), np.zeros((d, d))
     grads = Grads(
-        w_in=params.w @ (flat_carry.T @ x.reshape(rows, params.d_in)),
-        a=flat_carry[bsz:].T @ flat_hidden[:rows - bsz],
+        w_in=g_w_in,
+        a=a,
         w_out=g_w_out,
         b_out=g_b_out,
         b_mod=b_mod.sum(axis=0),

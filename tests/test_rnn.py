@@ -316,9 +316,10 @@ def test_backward_matches_per_step_oracle_on_one_hot_batches():
 
 
 def test_backward_peak_memory_is_bounded():
-    # BPTT keeps the hidden states and one (T, B, d) gradient buffer:
-    # about 2.3x the (T, B, d) float64 trace at this shape, against
-    # about 3.5x when the preactivations and dL/dh_out are kept too
+    # the reverse sweep runs in one chunk at this shape: BPTT keeps the
+    # hidden states and a chunk buffer as large as them, about 2.3x the
+    # (T, B, d) float64 trace, against about 3.5x when the preactivations
+    # and dL/dh_out are kept too
     d, bsz, steps, d_in, d_out = 64, 16, 60, 11, 10
     params = rnn.init_params(d, d_in, d_out, seed=24)
     rng = np.random.default_rng(25)
@@ -333,6 +334,87 @@ def test_backward_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * steps * bsz * d * 8
+
+
+def _backward_peak_over_trace(d, bsz, steps, d_in=11, d_out=10, seed=24):
+    """tracemalloc peak of a second `rnn.backward` call on one-hot
+    inputs with a mask, over the size of the (T, B, d) float64 trace."""
+    params = rnn.init_params(d, d_in, d_out, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    inputs = np.eye(d_in)[rng.integers(0, d_in, (bsz, steps))]
+    targets = rng.integers(0, d_out, (bsz, steps))
+    mask = rng.random((bsz, steps)) < 0.5
+    rnn.backward(params, inputs, targets, mask)  # first-call allocations
+    tracemalloc.start()
+    try:
+        rnn.backward(params, inputs, targets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (steps * bsz * d * 8)
+
+
+def test_backward_chunked_peak_memory_is_bounded(monkeypatch):
+    # 7 chunks of 32 steps, the last ragged: the hidden states and a
+    # small chunk buffer, about 1.4x the trace (2.1x with a full
+    # (T, B, d) carry buffer beside the hidden states)
+    monkeypatch.setattr(rnn, "CHUNK_ROWS", 1024)
+    assert _backward_peak_over_trace(190, 32, 200) <= 1.5
+
+
+def test_backward_one_chunk_allocates_no_extra_square():
+    # d x d is 1.6x the trace at this shape, so an A accumulator that
+    # starts from zeros, beside the product it adds, would show: about
+    # 3.9x the trace without it, 5.5x with it
+    assert rnn.CHUNK_ROWS >= 8 * 20
+    assert _backward_peak_over_trace(256, 8, 20) <= 4.0
+
+
+def test_backward_checks_shapes_before_the_recurrence(monkeypatch):
+    rng = np.random.default_rng(28)
+    params = make_params(seed=29)
+    inputs = rng.standard_normal((2, 5, params.d_in))
+    targets = rng.integers(0, params.d_out, (2, 5))
+    calls = []
+    monkeypatch.setattr(rnn, "_recur", lambda *a, **k: calls.append(a))
+    out_of_range = targets.copy()
+    out_of_range[1, 3] = params.d_out
+    for bad_targets, mask, match in (
+            (targets[:, :4], None, "targets shape"),
+            (out_of_range, None, "out of range"),
+            (targets, np.ones((2, 6), dtype=bool), "mask shape")):
+        with pytest.raises(ValueError, match=match):
+            rnn.backward(params, inputs, bad_targets, mask)
+    assert calls == []
+
+
+@pytest.mark.parametrize("chunk_rows", [
+    12,   # span 4: chunks of 4, 4, 4 and a ragged 2 steps
+    1,    # span 1: every step is a chunk
+    39,   # span 13: the first step, t = 0, is a chunk of its own
+])
+def test_backward_chunked_sweep(monkeypatch, chunk_rows):
+    steps = 14  # batch 3
+    rng = np.random.default_rng(30)
+    params = make_params(d=8, d_in=5, d_out=4, seed=31)
+    inputs = rng.standard_normal((3, steps, 5))
+    targets = rng.integers(0, 4, (3, steps))
+    mask = rng.random((3, steps)) < 0.6
+    for kwargs in ({}, {"mask": mask}):
+        one_value, one = rnn.backward(params, inputs, targets, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(rnn, "CHUNK_ROWS", chunk_rows)
+            value, grads = rnn.backward(params, inputs, targets, **kwargs)
+        want = rnn_backward_per_step(params, inputs, targets, **kwargs)
+        _assert_grads_close(params, value, grads, *want)
+        # the loss and the w_out, b_out and b_mod arithmetic do not
+        # depend on the chunks; A and dW_in sum over them, so they agree
+        # with one chunk to 1e-14 of their largest entry
+        assert value == one_value
+        for name in ("w_out", "b_out", "b_mod"):
+            assert np.array_equal(getattr(grads, name), getattr(one, name)), name
+        _assert_grads_close(params, value, grads, one_value,
+                            {"a": one.a, "w_in": one.w_in}, rel=1e-14)
 
 
 @pytest.mark.skipif("numpy" not in blas.thread_counts(),
