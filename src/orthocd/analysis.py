@@ -129,18 +129,19 @@ def histogram(partials: np.ndarray, log_bins: np.ndarray) -> Histogram:
 
 def kahan_cumsum(x: np.ndarray) -> np.ndarray:
     """Compensated (Kahan) running sum; keeps the metric stable over
-    10^6-term stepsize sums."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    out = np.empty_like(x)
+    10^6-term stepsize sums.  The loop runs on Python floats, the same
+    IEEE double arithmetic as numpy's float64 scalars at a fraction of
+    their per-operation cost."""
+    out = []
     s = 0.0
     comp = 0.0
-    for idx in range(x.size):
-        y = x[idx] - comp
+    for v in np.asarray(x, dtype=np.float64).ravel().tolist():
+        y = v - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        out[idx] = s
-    return out
+        out.append(s)
+    return np.array(out, dtype=np.float64)
 
 
 def convergence_metric(alphas: np.ndarray, grad_norm_sq: np.ndarray) -> np.ndarray:

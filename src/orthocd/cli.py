@@ -185,8 +185,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("conv_seeds", "x_dim", "bench_batch"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if cfg.noise_std < 0:
-        raise ConfigError("noise_std must be >= 0")
+    if not (cfg.noise_std >= 0 and math.isfinite(cfg.noise_std)):
+        raise ConfigError(f"noise_std must be finite and >= 0, got {cfg.noise_std}")
     try:
         _task_from(cfg)
         _schedule_from(cfg)
@@ -381,6 +381,17 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
 
 
+def _write_trace(rundir: RunDir, alphas: np.ndarray, losses: np.ndarray,
+                 gnormsq: np.ndarray, m_k: np.ndarray) -> None:
+    """trace.csv, one row per iteration.  The columns go out as Python
+    floats (`tolist`), which format as the float64 entries do and cost
+    no numpy scalar per cell."""
+    rundir.write_csv(
+        "trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
+        zip(range(alphas.size), alphas.tolist(), losses.tolist(),
+            gnormsq.tolist(), m_k.tolist()))
+
+
 def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
                         rng: np.random.Generator, mask_mode: str) -> np.ndarray:
     data = copytask.generate_batch(task, rng, mask_mode=mask_mode)
@@ -397,10 +408,7 @@ def cmd_train(cfg: ExperimentConfig, rundir: RunDir) -> None:
     result = run_training(cfg)
     m_k = analysis.convergence_metric(result.alphas, result.grad_norm_sq) \
         if cfg.iterations else np.empty(0)
-    rundir.write_csv(
-        "trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
-        ((k, result.alphas[k], result.losses[k], result.grad_norm_sq[k], m_k[k])
-         for k in range(cfg.iterations)))
+    _write_trace(rundir, result.alphas, result.losses, result.grad_norm_sq, m_k)
     rnn.save_checkpoint(rundir.path / "checkpoint.bin", result.params,
                         seed=cfg.seed)
     eval_rng = np.random.default_rng([cfg.seed, 3])
@@ -462,7 +470,9 @@ class ConvergenceResult:
 
 def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     """SRCD-U on the synthetic quadratic; exact squared gradient norms
-    recorded every iteration, noisy gradients fed to the optimizer."""
+    recorded every iteration, noisy gradients fed to the optimizer.
+    One `SyntheticProblem.evaluate` per iteration gives the loss, the
+    squared norm and the gradient from one residual."""
     problem = optim.SyntheticProblem.make(
         cfg.conv_d, (cfg.x_dim, cfg.x_dim), noise_std=cfg.noise_std,
         seed=cfg.seed)
@@ -477,10 +487,7 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     x = state.x["x"]
     for k in range(n):
         alphas[k] = optim.schedule_step(schedule, k)
-        gsq[k] = problem.grad_norm_sq(x, state.w)
-        losses[k] = problem.loss(x, state.w)
-        grads = problem.grads(x, state.w,
-                              rng=noise_rng if cfg.noise_std > 0 else None)
+        losses[k], gsq[k], grads = problem.evaluate(x, state.w, rng=noise_rng)
         optim.srcd_step(state, grads)
     m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)
@@ -498,10 +505,7 @@ def cmd_convergence(cfg: ExperimentConfig, rundir: RunDir) -> None:
         seed = cfg.seed + s
         res = run_convergence(cfg, seed)
         if s == 0:
-            rundir.write_csv(
-                "trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
-                ((k, res.alphas[k], res.losses[k], res.grad_norm_sq[k], res.m[k])
-                 for k in range(cfg.iterations)))
+            _write_trace(rundir, res.alphas, res.losses, res.grad_norm_sq, res.m)
         entry = {f"M_{c}": res.m[c - 1] for c in checkpoints}
         entry["final_gnormsq"] = res.grad_norm_sq[-1]
         summary["seeds"][seed] = entry

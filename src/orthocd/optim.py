@@ -32,6 +32,12 @@ count of its W update as a function of d, for a step handed G alone
 `sgd` is not in it: its W leaves O(d), so it is a bench-only baseline
 (see `analysis`), and it needs G.
 
+SyntheticProblem is the convergence harness's quadratic.  Its
+`evaluate` forms the residuals once and returns the loss, the exact
+squared gradient norm and the gradient the step is handed, so the
+harness pays one objective evaluation per iteration; `loss`,
+`grad_norm_sq` and `grads` give the same values one at a time.
+
 States mutate their parameter arrays in place and are single-owner.
 All steps raise NumericError on non-finite gradients (G and S, each
 when bundled, and every X block) rather than let NaNs propagate into
@@ -94,8 +100,10 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.alpha0 > 0 and math.isfinite(self.alpha0)):
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.offset <= 0:
-            raise ValueError(f"offset k0 must be positive, got {self.offset}")
+        if not (self.offset > 0 and math.isfinite(self.offset)):
+            raise ValueError(f"offset k0 must be positive and finite, got {self.offset}")
+        if not math.isfinite(self.power):
+            raise ValueError(f"power must be finite, got {self.power}")
         if self.kind == "polynomial" and self.power <= 0:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.robbins_monro:
@@ -437,6 +445,9 @@ class SyntheticProblem:
     the W noise keeps mean zero and per-coordinate variance noise_std^2,
     so the standard stochastic-approximation assumptions hold by
     construction (unbiased, bounded second moment).
+
+    The convergence harness calls `evaluate` once per iteration, which
+    forms W A - B, X - C and G = (W A - B) A^T a single time.
     """
 
     a: np.ndarray
@@ -497,6 +508,24 @@ class SyntheticProblem:
         g_w = (w @ self.a - self.b) @ self.a.T
         v = manifold.all_partials(w, g_w)
         return float(np.linalg.norm(x - self.c) ** 2 + v @ v)
+
+    def evaluate(self, x: np.ndarray, w: np.ndarray,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[float, float, GradPack]:
+        """(loss, grad_norm_sq, grads) at (x, w), bitwise those methods'
+        values, from one W A - B, X - C and G; with an rng the noise is
+        drawn as `grads` draws it, W block first, then X."""
+        r_w = w @ self.a - self.b
+        g_w = r_w @ self.a.T
+        g_x = x - self.c
+        x_sq = np.linalg.norm(g_x) ** 2
+        v = manifold.all_partials(w, g_w)
+        loss = 0.5 * float(np.linalg.norm(r_w) ** 2 + x_sq)
+        gnormsq = float(x_sq + v @ v)
+        if rng is not None and self.noise_std > 0.0:
+            g_w += rng.normal(0.0, self.noise_std, size=g_w.shape)
+            g_x += rng.normal(0.0, self.noise_std, size=g_x.shape)
+        return loss, gnormsq, GradPack(w=g_w, x={"x": g_x})
 
     def state(self, schedule: StepSchedule,
               rule: SelectionRule | None = None,

@@ -188,3 +188,60 @@ def rnn_backward_per_step(params, inputs, targets, mask=None):
             g["w"] += dpre.T @ hidden[:, t - 1]
         carry = dpre @ params.w
     return value, g
+
+
+def kahan_cumsum_scalars(x) -> np.ndarray:
+    """Compensated running sum, one numpy float64 scalar at a time
+    (the loop `analysis.kahan_cumsum` ran before it moved to Python
+    floats)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    out = np.empty_like(x)
+    s = 0.0
+    comp = 0.0
+    with np.errstate(all="ignore"):
+        for idx in range(x.size):
+            y = x[idx] - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            out[idx] = s
+    return out
+
+
+def run_convergence_three_calls(cfg, seed: int):
+    """The convergence loop with one call each of `grad_norm_sq`, `loss`
+    and `grads` per iteration (three residual evaluations), and M_K from
+    the numpy-scalar Kahan sums.  Returns (alphas, gnormsq, losses, M_K)."""
+    from orthocd import optim
+
+    problem = optim.SyntheticProblem.make(
+        cfg.conv_d, (cfg.x_dim, cfg.x_dim), noise_std=cfg.noise_std,
+        seed=cfg.seed)
+    schedule = optim.StepSchedule(kind=cfg.schedule, alpha0=cfg.alpha0,
+                                  power=cfg.power, offset=cfg.offset,
+                                  robbins_monro=cfg.robbins_monro)
+    state = problem.state(schedule, rule=optim.SelectionRule("uniform"),
+                          seed=seed)
+    noise_rng = np.random.default_rng([seed, 5])
+    n = cfg.iterations
+    alphas, gsq, losses = np.empty(n), np.empty(n), np.empty(n)
+    x = state.x["x"]
+    for k in range(n):
+        alphas[k] = optim.schedule_step(schedule, k)
+        gsq[k] = problem.grad_norm_sq(x, state.w)
+        losses[k] = problem.loss(x, state.w)
+        grads = problem.grads(x, state.w,
+                              rng=noise_rng if cfg.noise_std > 0 else None)
+        optim.srcd_step(state, grads)
+    m = kahan_cumsum_scalars(alphas * gsq) / kahan_cumsum_scalars(alphas)
+    return alphas, gsq, losses, m
+
+
+def trace_csv_bytes(alphas, losses, gnormsq, m_k) -> bytes:
+    """trace.csv written cell by cell: k as an int, every other entry
+    as format(float(v), ".17g")."""
+    lines = ["k,alpha,loss,gnormsq,M_K"]
+    for k in range(len(alphas)):
+        lines.append(",".join([str(k)] + [format(float(col[k]), ".17g")
+                                          for col in (alphas, losses, gnormsq, m_k)]))
+    return ("\n".join(lines) + "\n").encode()

@@ -5,7 +5,7 @@ import pytest
 
 from orthocd import analysis as an
 
-from oracles import fsum_cumsum, fsum_prefix
+from oracles import fsum_cumsum, fsum_prefix, kahan_cumsum_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,26 @@ def test_kahan_cumsum_random_agreement():
     exact = fsum_cumsum(x)
     bound = 4 * np.finfo(float).eps * np.cumsum(np.abs(x))
     assert np.all(np.abs(kahan - exact) <= bound + 1e-300)
+
+
+def test_kahan_cumsum_bitwise_equals_the_numpy_scalar_loop():
+    rng = np.random.default_rng(5)
+    big = np.concatenate([[1e16], np.ones(1001), [-1e16], np.ones(7)])
+    cases = [
+        np.array([1e16, 1.0, 1.0, -1e16, 1.0, 1e16, -1.0, 3.0]),
+        big,
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-12, 12, size=2000),
+        np.array([0.0, -0.0, 1.0, np.inf, 2.0]),
+        np.array([-0.0]),
+        np.empty(0),
+    ]
+    # compensation is at work: a plain running sum loses the 1.0 terms
+    # added to 1e16 (7.0 against 1007.0; the exact sum is 1008)
+    assert np.cumsum(big)[-1] == 7.0 and an.kahan_cumsum(big)[-1] == 1007.0
+    for x in cases:
+        got, want = an.kahan_cumsum(x), kahan_cumsum_scalars(x)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_convergence_metric_hand_values():

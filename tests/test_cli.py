@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthocd import blas, cli, copytask, manifold, optim, rnn
+from orthocd import analysis, blas, cli, copytask, manifold, optim, rnn
+
+import oracles
 
 
 def run_main(args, tmp_path, monkeypatch):
@@ -80,6 +82,12 @@ def test_config_error_cases(tmp_path):
         cli.parse_config(overrides={"robbins_monro": "true"})  # fixed schedule
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"alphabet": "1"})  # copytask needs >= 2
+    # non-finite schedule values and a non-finite or negative noise_std
+    for key, raw in (("power", "nan"), ("power", "inf"), ("offset", "nan"),
+                     ("offset", "inf"), ("noise_std", "nan"),
+                     ("noise_std", "inf"), ("noise_std", "-0.1")):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(overrides={"schedule": "polynomial", key: raw})
     # every value bench_update refuses is refused here, before a run dir
     for key, raw in (("bench_reps", "5"), ("bench_warmup", "4"),
                      ("bench_dims", "2,64"), ("bench_phase_d", "3"),
@@ -361,6 +369,46 @@ def test_convergence_run(tmp_path, monkeypatch):
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["checkpoints"] == [100]
     assert set(summary["seeds"]) == {"0", "1"}
+
+
+def _overrides(args):
+    return {flag[2:]: raw for flag, raw in zip(args[::2], args[1::2])}
+
+
+@pytest.mark.parametrize("noise_std, conv_d", [("0.1", "6"), ("0", "6"),
+                                               ("0.1", "7")])
+def test_run_convergence_matches_the_three_call_loop(noise_std, conv_d):
+    cfg = cli.parse_config(overrides={**_overrides(CONV[1:]), "conv_d": conv_d,
+                                      "noise_std": noise_std, "seed": "2"})
+    got = cli.run_convergence(cfg, seed=3)
+    want = oracles.run_convergence_three_calls(cfg, 3)
+    for name, ref in zip(("alphas", "grad_norm_sq", "losses", "m"), want):
+        assert getattr(got, name).tobytes() == ref.tobytes(), name
+
+
+def test_trace_csv_is_the_per_cell_format(tmp_path, monkeypatch):
+    assert run_main(["train", *TINY, "--out", str(tmp_path / "t")],
+                    tmp_path, monkeypatch) == 0
+    res = cli.run_training(cli.parse_config(overrides=_overrides(TINY)))
+    m_k = analysis.convergence_metric(res.alphas, res.grad_norm_sq)
+    assert (tmp_path / "t" / "trace.csv").read_bytes() == oracles.trace_csv_bytes(
+        res.alphas, res.losses, res.grad_norm_sq, m_k)
+    assert run_main([*CONV, "--out", str(tmp_path / "c")],
+                    tmp_path, monkeypatch) == 0
+    cfg = cli.parse_config(overrides=_overrides(CONV[1:]))
+    res = cli.run_convergence(cfg, cfg.seed)
+    assert (tmp_path / "c" / "trace.csv").read_bytes() == oracles.trace_csv_bytes(
+        res.alphas, res.losses, res.grad_norm_sq, res.m)
+
+
+@pytest.mark.parametrize("args", [
+    ["train", *TINY, "--schedule", "polynomial", "--power", "nan"],
+    ["train", *TINY, "--offset", "inf"],
+    [*CONV, "--noise_std", "nan"],
+])
+def test_non_finite_values_exit_1_without_a_run_dir(args, tmp_path, monkeypatch):
+    assert run_main(args, tmp_path, monkeypatch) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_convergence_requires_robbins_monro(tmp_path, monkeypatch):

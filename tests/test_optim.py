@@ -59,6 +59,12 @@ def test_schedule_validation():
         optim.StepSchedule("polynomial", 1.0, offset=0.0)
     with pytest.raises(ValueError):
         optim.schedule_step(optim.StepSchedule(), -1)
+    # non-finite power or offset, on either kind of schedule
+    for kind in ("fixed", "polynomial"):
+        for bad in ({"power": math.nan}, {"power": math.inf},
+                    {"offset": math.nan}, {"offset": math.inf}):
+            with pytest.raises(ValueError):
+                optim.StepSchedule(kind, 1.0, **bad)
 
 
 def test_robbins_monro_gate():
@@ -553,6 +559,28 @@ def test_synthetic_noise_is_unbiased_additive():
     assert var == pytest.approx(0.25, rel=0.1)  # std 0.5 per entry
     # without an rng the gradient is exact even when noise_std > 0
     assert np.array_equal(prob.grads(x, w).w, clean.w)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_synthetic_evaluate_is_the_three_methods_bitwise(noise_std):
+    prob = optim.SyntheticProblem.make(7, (3, 3), noise_std=noise_std, seed=31)
+    x, w = prob.init(seed=32)
+    x_in, w_in = x.copy(), w.copy()
+    loss, gnormsq, grads = prob.evaluate(x, w)
+    assert loss == prob.loss(x, w)
+    assert gnormsq == prob.grad_norm_sq(x, w)
+    want = prob.grads(x, w)
+    assert grads.w.tobytes() == want.w.tobytes()
+    assert grads.x["x"].tobytes() == want.x["x"].tobytes()
+    # with an rng: the same draws, W block first, then X
+    rng_a, rng_b = np.random.default_rng(33), np.random.default_rng(33)
+    loss_n, gnormsq_n, noisy = prob.evaluate(x, w, rng=rng_a)
+    want = prob.grads(x, w, rng=rng_b)
+    assert (loss_n, gnormsq_n) == (loss, gnormsq)
+    assert noisy.w.tobytes() == want.w.tobytes()
+    assert noisy.x["x"].tobytes() == want.x["x"].tobytes()
+    assert rng_a.random() == rng_b.random()  # as many draws taken
+    assert np.array_equal(x, x_in) and np.array_equal(w, w_in)
 
 
 def test_synthetic_state_wiring():
