@@ -12,7 +12,7 @@ environment variable, or ./runs, containing the resolved config
 (config.ini), run metadata (run_meta.json, status
 running/done/failed/interrupted), and the CSVs documented in the
 README.  A given (config, seed) pair reproduces every numeric output
-bitwise.
+bitwise at the same OpenBLAS thread counts (recorded in run_meta.json).
 
 Exit codes: 0 success, 1 config or usage error, 2 numeric failure,
 3 I/O error.  Any other exception propagates after the run is marked
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -247,7 +249,10 @@ def _run_dir(command: str, cfg: ExperimentConfig) -> Path:
     return _out_root() / f"{command}-s{cfg.seed}-{digest}"
 
 
+@functools.cache
 def _version_string() -> str:
+    """The package version plus `git describe`, read once per process
+    (a subprocess, about 2 ms)."""
     here = Path(__file__).resolve().parent
     try:
         desc = subprocess.run(
@@ -381,15 +386,21 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
 
 
+_TRACE_BLOCK_ROWS = 1024  # trace.csv rows turned into Python floats at a time
+
+
 def _write_trace(rundir: RunDir, alphas: np.ndarray, losses: np.ndarray,
                  gnormsq: np.ndarray, m_k: np.ndarray) -> None:
     """trace.csv, one row per iteration.  The columns go out as Python
     floats (`tolist`), which format as the float64 entries do and cost
-    no numpy scalar per cell."""
-    rundir.write_csv(
-        "trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
-        zip(range(alphas.size), alphas.tolist(), losses.tolist(),
-            gnormsq.tolist(), m_k.tolist()))
+    no numpy scalar per cell, one block of _TRACE_BLOCK_ROWS rows at a
+    time, so a long run never holds whole columns as Python lists."""
+    cols = (alphas, losses, gnormsq, m_k)
+    blocks = (zip(range(i, i + _TRACE_BLOCK_ROWS),
+                  *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
+              for i in range(0, alphas.size, _TRACE_BLOCK_ROWS))
+    rundir.write_csv("trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
+                     itertools.chain.from_iterable(blocks))
 
 
 def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
@@ -563,7 +574,10 @@ def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` may run
+    many times in one, and parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="orthocd",
         description="Riemannian coordinate-descent experiments on O(d)")

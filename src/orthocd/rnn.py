@@ -12,18 +12,27 @@ product it replaces, so no caller pays a d^3 product W^T G.
 The public API is batch-first and takes no other form: inputs
 (B, T, d_in), logits (B, T, d_out), targets and masks (B, T),
 ForwardTrace fields (B, T, .); a 2D input raises ValueError.  Inside,
-one recurrence (`_recur`) runs time-major on contiguous (T, B, d)
+one recurrence (`_recur`) runs time-major on contiguous (T, B, .)
 arrays, so every per-step slice is contiguous; the trace fields are
-transposed views of them.  `forward` stores hidden states,
-preactivations and logits.  `logits` runs the same evaluation, bitwise,
-but stores no preactivations: it holds the (T, B, d) hidden states only
-until the logits are formed.  `backward` stores only the hidden states
-and a fixed chunk of CHUNK_ROWS (step, batch) rows for its reverse
-sweep, so its memory peak is about one (T, B, d) float64 array plus
-that chunk, two such arrays when T*B fits in one chunk.  `loss` and
-`backward` share one softmax cross-entropy.  All math is in float64
-and every function here is deterministic, so a fixed seed reproduces
-runs bitwise.
+transposed views of them.  It streams over chunks of CHUNK_ROWS
+(step, batch) rows: each chunk's input projection, modReLU steps and
+logits run while its states are still in cache.  The step and logits
+products are per step and the projection is row by row the same GEMM,
+so the outputs do not depend on the chunks (a chunk of one row, B = 1,
+is the exception: numpy runs it as a matrix-vector product, which
+rounds differently).
+
+Memory.  `forward` stores hidden states, preactivations and logits.
+`logits` runs the same evaluation, bitwise, but holds one chunk of
+hidden states and no preactivations: beside its (T, B, d_out) result
+it keeps no (T, B, .) array.  `backward` stores the hidden states and
+logits of the forward pass and a fixed chunk of CHUNK_ROWS rows for
+its reverse sweep, so its memory peak is about one (T, B, d) float64
+array plus that chunk, two such arrays when T*B fits in one chunk.
+`loss` and `backward` share one softmax cross-entropy.  All math is in float64 and every function here is
+deterministic, so a fixed seed reproduces runs bitwise at fixed BLAS
+thread counts: a product large enough to keep its threads may round
+differently at another count.
 
 modReLU step.  `_recur` writes sign(pre) into a (B, d) scratch buffer
 and multiplies it by the magnitude into `pre`, because on numpy 2.4.6
@@ -76,7 +85,7 @@ __all__ = [
 _CKPT_MAGIC = b"ORNNCKP\x00"
 _CKPT_VERSION = 1
 BPTT_THREADED_MIN_WORK = 2**25  # T*B*d*d; thread policy: see the module docstring
-CHUNK_ROWS = 4096  # steps x batch rows per chunk of BPTT's reverse sweep: see `backward`
+CHUNK_ROWS = 4096  # (step, batch) rows per chunk of the recurrence and of BPTT's sweep
 
 
 @dataclass
@@ -178,42 +187,65 @@ def _thread_policy(params: RnnParams, bsz: int, steps: int):
     return blas.held_threads("numpy", 1)
 
 
+def _span(steps: int, bsz: int) -> int:
+    """Steps per chunk of CHUNK_ROWS (step, batch) rows: at least 1, at
+    most T."""
+    return max(1, min(steps, CHUNK_ROWS // max(bsz, 1)))
+
+
 def _recur(
     params: RnnParams,
     inputs: np.ndarray,
     preact: np.ndarray | None = None,
+    keep_hidden: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The recurrence, time-major, from h(-1) = 0.
+    """The recurrence, time-major, from h(-1) = 0, and its logits.
 
-    Takes batch-first inputs (B, T, d_in) and returns (x, hidden): the
-    inputs as a contiguous (T, B, d_in) copy and the hidden states as a
-    contiguous (T, B, d) array.  W_in x(t) for all steps is one GEMM
-    written straight into `hidden`; each step from t = 1 then adds
-    W h(t-1), and every step applies modReLU in place.  A (T, B, d)
+    Takes batch-first inputs (B, T, d_in) and returns (hidden, logits),
+    contiguous (T, B, d) and (T, B, d_out) arrays.  It runs over chunks
+    of `_span(T, B)` steps, first to last.  Per chunk: one GEMM writes
+    W_in x(t) from a time-major copy of the chunk's inputs; each step
+    adds W h(t-1), formed into a (B, d) scratch at the end of the step
+    before, and applies modReLU in place; a (span, B, d) @ (d, d_out)
+    matmul, one product per step, writes the chunk's logits while its
+    states are in cache.  b_out is added once.  Without `keep_hidden`,
+    one (span, B, d) buffer serves every chunk and is what `hidden`
+    returns; the scratch carries h into the next chunk.  A (T, B, d)
     `preact` array, when given, receives the preactivations.
     """
     bsz, steps, d_in = inputs.shape
     if d_in != params.d_in:
         raise ValueError(f"input feature dim {d_in} != params d_in {params.d_in}")
     d = params.d
-    x = np.ascontiguousarray(inputs.transpose(1, 0, 2))
-    hidden = np.empty((steps, bsz, d))
-    np.matmul(x.reshape(-1, d_in), params.w_in.T, out=hidden.reshape(-1, d))
-    w_t = params.w.T
+    span = _span(steps, bsz)
+    hidden = np.empty((steps if keep_hidden else span, bsz, d))
+    out = np.empty((steps, bsz, params.d_out))
+    w_t, w_in_t, w_out_t = params.w.T, params.w_in.T, params.w_out.T
+    b_mod = np.empty((bsz, d))  # adding a (B, d) array is ~2x faster than a (d,) one
+    b_mod[...] = params.b_mod
+    prod = np.empty((bsz, d))  # W h(t-1)
     mag = np.empty((bsz, d))
     sgn = np.empty((bsz, d))  # np.sign in place is slow: module docstring
-    for t in range(steps):
-        pre = hidden[t]
-        if t:
-            pre += hidden[t - 1] @ w_t
-        if preact is not None:
-            preact[t] = pre
-        np.abs(pre, out=mag)  # modrelu(pre, b_mod), into pre
-        mag += params.b_mod
-        np.maximum(mag, 0.0, out=mag)
-        np.sign(pre, out=sgn)
-        np.multiply(sgn, mag, out=pre)
-    return x, hidden
+    for t0 in range(0, steps, span):
+        t1 = min(steps, t0 + span)
+        chunk = hidden[t0:t1] if keep_hidden else hidden[:t1 - t0]
+        x = np.ascontiguousarray(inputs[:, t0:t1].transpose(1, 0, 2))
+        np.matmul(x.reshape(-1, d_in), w_in_t, out=chunk.reshape(-1, d))
+        for t, pre in enumerate(chunk, t0):
+            if t:
+                pre += prod
+            if preact is not None:
+                preact[t] = pre
+            np.abs(pre, out=mag)  # modrelu(pre, b_mod), into pre
+            mag += b_mod
+            np.maximum(mag, 0.0, out=mag)
+            np.sign(pre, out=sgn)
+            np.multiply(sgn, mag, out=pre)
+            if t + 1 < steps:
+                np.matmul(pre, w_t, out=prod)
+        np.matmul(chunk, w_out_t, out=out[t0:t1])
+    out += params.b_out
+    return hidden, out
 
 
 def _evaluate(
@@ -222,13 +254,13 @@ def _evaluate(
     keep_preact: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(hidden, preact or None, logits), time-major: the one evaluation
-    behind `forward` and `logits`."""
+    behind `forward` and `logits`.  Without preactivations no (T, B, d)
+    array is kept, and `hidden` is the last chunk's buffer."""
     inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
     preact = np.empty((steps, bsz, params.d)) if keep_preact else None
     with _thread_policy(params, bsz, steps):
-        _, hidden = _recur(params, inputs, preact)
-        out = hidden @ params.w_out.T + params.b_out
+        hidden, out = _recur(params, inputs, preact, keep_hidden=keep_preact)
     return hidden, preact, out
 
 
@@ -243,8 +275,9 @@ def forward(params: RnnParams, inputs: np.ndarray) -> ForwardTrace:
 
 
 def logits(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
-    """The (B, T, d_out) logits of `forward`, bitwise, without storing
-    the preactivations (a (B, T, d_out) view of a time-major array)."""
+    """The (B, T, d_out) logits of `forward`, bitwise, holding one chunk
+    of hidden states at a time (a (B, T, d_out) view of a time-major
+    array)."""
     return _evaluate(params, inputs, keep_preact=False)[2].transpose(1, 0, 2)
 
 
@@ -359,19 +392,18 @@ def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
     bsz, steps, _ = inputs.shape
     targets = _check_targets(targets, (bsz, steps), params.d_out)
     mask = _resolve_mask(mask, (bsz, steps))
-    x, hidden = _recur(params, inputs)
-    logits = hidden @ params.w_out.T + params.b_out
+    hidden, logits = _recur(params, inputs)
     # the loss over (B, T) views, so its summation order is batch-first
     value, dlogits = _loss_and_dlogits(logits.transpose(1, 0, 2), targets, mask)
     del logits
-    dlogits = np.ascontiguousarray(dlogits.transpose(1, 0, 2))
+    dlogits = dlogits.transpose(1, 0, 2)  # time-major, as the logits
 
     d, d_in, d_out = params.d, params.d_in, params.d_out
     rows = steps * bsz
     flat_dlogits = dlogits.reshape(rows, d_out)
     g_w_out = flat_dlogits.T @ hidden.reshape(rows, d)
     g_b_out = flat_dlogits.sum(axis=0)
-    span = max(1, min(steps, CHUNK_ROWS // max(bsz, 1)))
+    span = _span(steps, bsz)
     buf = np.empty((span, bsz, d))  # dL/dh_out(t), then carry(t) = dL/dpre(t) W
     # the last chunk's dL/dh_out goes in before the scratch arrays below
     # exist, so that a single chunk frees dlogits before they do
@@ -407,7 +439,8 @@ def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
         # dW_in = W (C^T X); A = W^T dW = sum_t carry(t)^T h(t-1), and
         # h(-1) = 0 drops t = 0
         s = 1 if t0 == 0 else 0
-        part_w_in = params.w @ (chunk.reshape(-1, d).T @ x[t0:t1].reshape(-1, d_in))
+        x = np.ascontiguousarray(inputs[:, t0:t1].transpose(1, 0, 2))
+        part_w_in = params.w @ (chunk.reshape(-1, d).T @ x.reshape(-1, d_in))
         part_a = chunk[s:].reshape(-1, d).T @ hidden[t0 + s - 1:t1 - 1].reshape(-1, d)
         if a is None:
             g_w_in, a = part_w_in, part_a

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from configparser import ConfigParser
 from pathlib import Path
 
@@ -399,6 +400,53 @@ def test_trace_csv_is_the_per_cell_format(tmp_path, monkeypatch):
     res = cli.run_convergence(cfg, cfg.seed)
     assert (tmp_path / "c" / "trace.csv").read_bytes() == oracles.trace_csv_bytes(
         res.alphas, res.losses, res.grad_norm_sq, res.m)
+
+
+def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
+    # the same bytes as the per-cell writer at every block boundary, and
+    # a 100k-row write holds one block of Python floats at a time: its
+    # tracemalloc peak was 12.8 MB with whole columns as lists, 0.16 MB
+    # in blocks of 1024 rows
+    rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
+    rng = np.random.default_rng(35)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    block = cli._TRACE_BLOCK_ROWS
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 7, 100_003):
+        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                for _ in range(4)]
+        for col in cols:
+            col[:len(special)] = special[:n]
+        tracemalloc.start()
+        try:
+            cli._write_trace(rundir, *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = oracles.trace_csv_bytes(*cols)
+        assert (tmp_path / "trace.csv").read_bytes() == want, n
+    assert peak <= 1e6
+
+
+def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
+    # the version string and the parser are built once, however many
+    # times a process (perfbench's worker, the tests) calls main
+    calls = []
+    run = subprocess.run
+
+    def counting(argv, *args, **kwargs):
+        calls.append(list(argv))
+        return run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counting)
+    cli._version_string.cache_clear()
+    for name in ("a", "b"):
+        assert run_main(["train", *TINY, "--out", str(tmp_path / name)],
+                        tmp_path, monkeypatch) == 0
+    assert [argv[:2] for argv in calls] == [["git", "describe"]]
+    for name in ("a", "b"):
+        meta = json.loads((tmp_path / name / "run_meta.json").read_text())
+        assert meta["version"] == cli._version_string()
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("args", [

@@ -417,6 +417,67 @@ def test_backward_chunked_sweep(monkeypatch, chunk_rows):
                             {"a": one.a, "w_in": one.w_in}, rel=1e-14)
 
 
+@pytest.mark.parametrize("chunk_rows, span", [
+    (12, 4),   # chunks of 4, 4, 4 and a ragged 2 steps
+    (1, 1),    # every step is a chunk, t = 0 included
+    (39, 13),  # the last step is a chunk of its own
+])
+def test_forward_chunked_is_one_chunk_bitwise(monkeypatch, chunk_rows, span):
+    # only the forward recurrence runs in chunks here (`backward`'s
+    # reverse sweep keeps one chunk), so every output of forward, logits
+    # and backward must equal the one-chunk run bitwise; with the sweep
+    # chunked too, see test_backward_chunked_sweep
+    steps = 14  # batch 3
+    params, inputs, _ = _batch_with_zero_preactivations()
+    inputs = np.concatenate([inputs, inputs[:, :steps - 9]], axis=1)
+    rng = np.random.default_rng(32)
+    targets = rng.integers(0, params.d_out, (3, steps))
+    mask = rng.random((3, steps)) < 0.6
+
+    def outputs():
+        trace = rnn.forward(params, inputs)
+        value, grads = rnn.backward(params, inputs, targets, mask)
+        return ([trace.hidden, trace.preact, trace.logits,
+                 rnn.logits(params, inputs), np.float64(value)]
+                + [getattr(grads, name) for name in
+                   ("w_in", "a", "w_out", "b_out", "b_mod")])
+
+    one = outputs()
+    recur = rnn._recur
+    spans = []
+
+    def chunked(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(rnn, "CHUNK_ROWS", chunk_rows)
+            spans.append(rnn._span(steps, 3))
+            return recur(*args, **kwargs)
+
+    monkeypatch.setattr(rnn, "_recur", chunked)
+    got = outputs()
+    assert spans == [span] * 3
+    for i, (g, w) in enumerate(zip(got, one)):
+        assert g.shape == w.shape and np.array_equal(g, w), i
+
+
+def test_logits_keeps_no_hidden_states():
+    # the eval pass at the paper shape holds one chunk of hidden states
+    # (4096 rows, 1/32 of them) and of time-major inputs beside the
+    # (T, B, d_out) logits: about 0.09x the (T, B, d) float64 states
+    # that `forward` keeps, against 1.16x when they were all stored
+    d, bsz, steps, d_in, d_out = 190, 128, 1020, 11, 10
+    assert rnn._span(steps, bsz) < steps
+    params = rnn.init_params(d, d_in, d_out, seed=33)
+    rng = np.random.default_rng(34)
+    inputs = np.eye(d_in)[rng.integers(0, d_in, (bsz, steps))]
+    tracemalloc.start()
+    try:
+        rnn.logits(params, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * steps * bsz * d * 8
+
+
 @pytest.mark.skipif("numpy" not in blas.thread_counts(),
                     reason="numpy's OpenBLAS copy not found")
 @pytest.mark.parametrize("d, bsz, steps, held", [(16, 4, 10, True), (512, 8, 20, False)])
