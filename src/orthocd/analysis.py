@@ -198,14 +198,15 @@ def bench_update(
 
     phase="update" times only the parameter update given precomputed
     gradients (Table-1 "optim.step()" analogue; the gradient content is
-    random since it does not affect cost).  phase="backward_update"
-    times BPTT plus the update on a real copy-task batch (desk-scale
-    sequence at the requested width), handing the step what `train`
-    hands it: S = antisym(A) from BPTT's A = W^T G, or, to the `sgd`
-    baseline, which needs it, G = W A.  No thread limit is added: each
-    step takes the package's own holds (a small expm or BPTT runs with
-    its OpenBLAS copy at one thread and gives the count back), and the
-    counts in force go to run_meta.json.  Setup and allocation stay
+    random since it does not affect cost), its bundle made and checked
+    once outside the timed region.  phase="backward_update" times BPTT
+    plus the update on a real copy-task batch (desk-scale sequence at
+    the requested width), making and checking inside the timed region
+    the bundle `train` hands the step: S = antisym(A) from BPTT's
+    A = W^T G, or, to the `sgd` baseline, which needs it, G = W A.  No
+    thread limit is added: each step takes the package's own holds (a
+    small expm or BPTT runs with its OpenBLAS copy at one thread and
+    gives the count back), and the counts in force go to run_meta.json.  Setup and allocation stay
     outside the timed region, and the same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
     flops field is the optimizer's analytic W-path count, not measured,

@@ -372,15 +372,15 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         value, grads = rnn.backward(params, x1h, data.targets, data.mask)
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
-        # S = A - A^T with A = W^T G from BPTT, O(d^2): the gnormsq
-        # column and the step both read it (||grad_W||^2 = ||S||_F^2 / 4)
-        skew = manifold.antisym(grads.a)
-        x_blocks = grads.x_blocks()
+        # S = A - A^T with A = W^T G from BPTT, O(d^2); making the bundle
+        # checks it and sums its squares once, and the gnormsq column
+        # reads those sums (||grad_W||^2 = ||S||_F^2 / 4)
+        pack = optim.GradPack(skew=manifold.antisym(grads.a),
+                              x=grads.x_blocks())
         alphas[k] = optim.schedule_step(schedule, state.k)
         losses[k] = value
-        gnormsq[k] = float(np.vdot(skew, skew)) / 4.0 + sum(
-            float(np.sum(g * g)) for g in x_blocks.values())
-        opt.step(state, optim.GradPack(skew=skew, x=x_blocks))
+        gnormsq[k] = pack.skew_sq / 4.0 + sum(pack.x_sq)
+        opt.step(state, pack)
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)

@@ -39,9 +39,9 @@ harness pays one objective evaluation per iteration; `loss`,
 `grad_norm_sq` and `grads` give the same values one at a time.
 
 States mutate their parameter arrays in place and are single-owner.
-All steps raise NumericError on non-finite gradients (G and S, each
-when bundled, and every X block) rather than let NaNs propagate into
-the parameters.
+Making a GradPack raises NumericError on non-finite gradients (G, S
+and every X block), so no NaN reaches the parameters, and the steps
+scan nothing: the uniform step stays O(d).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class SelectionRule:
         return max(1, round(self.block_fraction * n_coords))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradPack:
     """Gradient bundle for the generic steps: the orthogonal block's
     gradient, as G, S or both, plus named unconstrained blocks.
@@ -146,11 +146,40 @@ class GradPack:
     on O(d) read it from here when it is given.  Without it they form
     it from the Euclidean gradient `w`.  One of the two must be given;
     `sgd_step` needs `w`.
+
+    Making a bundle checks it once: it keeps each array's sum of squares
+    (`w_sq`, `skew_sq`, `x_sq` in block order; `train`'s gnormsq is
+    skew_sq/4 + sum(x_sq)), and where a sum is not finite the exact
+    entrywise test decides, so NaN or +-inf raises NumericError and huge
+    finite entries pass.  It is frozen: the steps trust it, scan nothing.
     """
 
     w: np.ndarray | None = None
     x: dict[str, np.ndarray] = field(default_factory=dict)
     skew: np.ndarray | None = None
+    w_sq: float | None = field(init=False, default=None)
+    skew_sq: float | None = field(init=False, default=None)
+    x_sq: tuple[float, ...] = field(init=False, default=())
+
+    def __post_init__(self) -> None:
+        w, skew = self.w, self.skew
+        if w is None and skew is None:
+            raise ValueError("GradPack carries neither G nor S")
+        if w is not None:
+            object.__setattr__(self, "w_sq", _checked(np.vdot(w, w), w, "w"))
+        if skew is not None:
+            object.__setattr__(self, "skew_sq", _checked(np.vdot(skew, skew), skew, "skew"))
+        # (g * g).sum() is np.sum(g * g), one add.reduce, without np.sum's dispatch
+        object.__setattr__(self, "x_sq", tuple([
+            _checked((g * g).sum(), g, name) for name, g in self.x.items()]))
+
+
+def _checked(sq, g: np.ndarray, name: str) -> float:
+    # a sum of squares is finite only if every entry is; an inf sum may
+    # be an overflow of huge finite entries, so the entrywise test decides
+    if not math.isfinite(sq) and not np.isfinite(g).all():
+        raise NumericError(f"non-finite entries in the {name!r} gradient")
+    return float(sq)
 
 
 @dataclass
@@ -182,36 +211,6 @@ class OptimizerState:
         return cls(w=params.w, x=params.x_blocks(), schedule=schedule,
                    rule=rule, rng=np.random.default_rng(seed),
                    reorth_every=reorth_every)
-
-
-# np.vdot sums up to this many entries on one OpenBLAS thread.  Longer
-# sums wake the pool, whose workers then spin and slow the Python work
-# that follows on a machine with few cores (2 vCPUs, uniform step at
-# d=190: 40 -> 72-114 us), so those get the entrywise test alone.
-_SCREEN_MAX_SIZE = 10_000
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    # the sum of squares is finite only if every entry is; when it is
-    # not (a NaN or inf, or an overflow of huge finite entries), the
-    # exact entrywise test decides
-    if x.size <= _SCREEN_MAX_SIZE:
-        flat = x.ravel()
-        if math.isfinite(np.vdot(flat, flat)):
-            return True
-    return bool(np.isfinite(x).all())
-
-
-def _check_finite(grads: GradPack) -> None:
-    if grads.w is None and grads.skew is None:
-        raise ValueError("GradPack carries neither G nor S")
-    if grads.w is not None and not _all_finite(grads.w):
-        raise NumericError("non-finite entries in the W gradient")
-    if grads.skew is not None and not _all_finite(grads.skew):
-        raise NumericError("non-finite entries in the W gradient's skew part")
-    for name, g in grads.x.items():
-        if not _all_finite(g):
-            raise NumericError(f"non-finite entries in gradient block {name!r}")
 
 
 def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
@@ -250,7 +249,6 @@ def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     if grads.w is None:
         raise ValueError("sgd_step needs the Euclidean W gradient")
     alpha = schedule_step(state.schedule, state.k)
-    _check_finite(grads)
     _update_x(state, grads, alpha)
     state.w -= alpha * grads.w
     state.k += 1
@@ -264,7 +262,6 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     expm(-alpha * skew(W^T g_W)) directly.
     """
     alpha = schedule_step(state.schedule, state.k)
-    _check_finite(grads)
     _update_x(state, grads, alpha)
     w = state.w
     w[...] = w @ manifold.matrix_expm(-alpha * (_skew(w, grads) / 2.0))
@@ -285,7 +282,6 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     if state.rule is None:
         raise ValueError("srcd_step needs a SelectionRule on the state")
     alpha = schedule_step(state.schedule, state.k)
-    _check_finite(grads)
     _update_x(state, grads, alpha)
     w = state.w
     d = w.shape[0]

@@ -312,9 +312,10 @@ def _xent(
     """The one softmax cross-entropy: (value, ez, sez), value the mean
     of lse - picked over the `count` > 0 masked positions, ez =
     exp(logits - max) and sez its sum over the classes (keepdims).
-    Log-sum-exp uses max-subtraction."""
+    Log-sum-exp uses max-subtraction; exp runs in place on logits - m."""
     m = logits.max(axis=-1, keepdims=True)
-    ez = np.exp(logits - m)
+    ez = logits - m
+    np.exp(ez, out=ez)
     sez = ez.sum(axis=-1, keepdims=True)
     lse = np.log(sez[..., 0]) + m[..., 0]
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]

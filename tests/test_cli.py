@@ -260,9 +260,29 @@ def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
                      for _ in range(12)]
 
 
+@pytest.mark.parametrize("name", sorted(optim.OPTIMIZERS))
+def test_train_gnormsq_is_the_bundles_sums(monkeypatch, name):
+    # the gnormsq column reads the sums the bundle's check took, and they
+    # give ||grad||^2 = vdot(S, S)/4 + sum of np.sum(g*g) over the X
+    # blocks bitwise, written out here from the arrays the step is handed
+    want = []
+    entry = optim.OPTIMIZERS[name]
+
+    def spy(state, grads):
+        want.append(float(np.vdot(grads.skew, grads.skew)) / 4.0 + sum(
+            float(np.sum(g * g)) for g in grads.x.values()))
+        entry.step(state, grads)
+
+    monkeypatch.setitem(optim.OPTIMIZERS, name, dataclasses.replace(entry, step=spy))
+    cfg = cli.parse_config(None, {"optimizer": name, "iterations": 5, "seed": 3})
+    got = cli.run_training(cfg).grad_norm_sq
+    assert len(want) == 5
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def _poison_backward(monkeypatch):
-    # inject a NaN into the W gradient: the optimizer's finite check
-    # must trip and surface as the numeric exit code
+    # inject a NaN into the W gradient: making the gradient bundle must
+    # refuse it, and the refusal surface as the numeric exit code
     real = rnn.backward
 
     def poisoned(*args, **kwargs):

@@ -356,44 +356,80 @@ def test_steps_share_the_unconstrained_update():
     assert np.array_equal(results["srgd"], results["srcd"])
 
 
+def _bundle(state, seed, scale=1.0, poison=None):
+    # G, S and the X block from random draws, times `scale`; `poison`
+    # = (block, index, value) sets one entry before the bundle is made
+    arrays = {"w": random_grads(state, seed=seed).w * scale,
+              "skew": mf.skew_grad(state.w, random_grads(state, seed + 1).w) * scale,
+              "x": random_grads(state, seed=seed + 2).x["x"] * scale}
+    if poison is not None:
+        block, index, value = poison
+        arrays[block][index] = value
+    return optim.GradPack(w=arrays["w"], skew=arrays["skew"], x={"x": arrays["x"]})
+
+
 def test_non_finite_gradients_raise():
+    # a NaN, +inf or -inf in G, S or the X block is refused when the
+    # bundle is made, before any step can apply it
     for fn, rule in ((optim.sgd_step, None), (optim.srgd_step, None),
                      (optim.srcd_step, optim.SelectionRule("uniform"))):
         state = make_state(d=6, rule=rule)
-        bad_w = random_grads(state, seed=16)
-        bad_w.w[0, 0] = np.nan
-        with pytest.raises(optim.NumericError):
-            fn(state, bad_w)
-        bad_x = random_grads(state, seed=17)
-        bad_x.x["x"][0, 0] = np.inf
-        with pytest.raises(optim.NumericError):
-            fn(state, bad_x)
+        w0, x0 = state.w.copy(), state.x["x"].copy()
+        for block in ("w", "skew", "x"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(optim.NumericError, match="non-finite"):
+                    fn(state, _bundle(state, 16, poison=(block, (0, 1), bad)))
+        assert state.k == 0
+        assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
+        fn(state, _bundle(state, 16))
+        assert state.k == 1
 
 
-@pytest.mark.parametrize("d", [6, 110])  # screened, and past the screen's size
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("d", [6, 110])  # a few entries, and a vdot past 1e4
 def test_finite_check_screens_without_changing_the_rule(d):
     rng = np.random.default_rng(30)
-    state = make_state(d=d, rule=optim.SelectionRule("uniform"))
+    alpha = 1e-2
+    state = make_state(d=d, alpha=alpha, rule=optim.SelectionRule("uniform"))
     w0, x0 = state.w.copy(), state.x["x"].copy()
 
-    def huge(seed):
-        # sums of squares overflow to inf, every entry is finite
-        g = random_grads(state, seed=seed)
-        g.w *= 1e200
-        g.x["x"] *= 1e200
-        g.skew = mf.skew_grad(state.w, random_grads(state, seed + 1).w) * 1e200
-        return g
+    # sums of squares overflow to inf, every entry is finite: accepted,
+    # and each step applies the huge bundle as it would any other
+    huge = _bundle(state, 31, scale=1e200)
+    assert huge.w_sq == huge.skew_sq == huge.x_sq[0] == math.inf
+    optim.sgd_step(state, huge)
+    assert np.array_equal(state.w, w0 - alpha * huge.w)
+    assert np.array_equal(state.x["x"], x0 - alpha * huge.x["x"])
+    state.w[...], state.x["x"][...] = w0, x0
+    optim.srcd_step(state, huge)
+    (i,) = state.last_coords
+    j, l = mf.coord_pair(i, d)
+    theta = float(huge.skew[j - 1, l - 1]) / math.sqrt(2.0)
+    assert np.array_equal(state.w, mf.givens_update(w0, i, -alpha * theta))
+    assert np.array_equal(state.x["x"], x0 - alpha * huge.x["x"])
+    assert np.isfinite(state.w).all()
 
-    for fn in (optim.sgd_step, optim.srcd_step):
-        fn(state, huge(31))
-        state.w[...], state.x["x"][...] = w0, x0
     for k in range(30):
-        grads = huge(32 + k)
-        block = [grads.w, grads.x["x"], grads.skew][k % 3]
+        block = ("w", "x", "skew")[k % 3]
+        shape = huge.x["x"].shape if block == "x" else (d, d)
         bad = (np.nan, np.inf, -np.inf)[k % 3 if k < 15 else rng.integers(3)]
-        block[tuple(rng.integers(0, n) for n in block.shape)] = bad
+        index = tuple(rng.integers(0, n) for n in shape)
         with pytest.raises(optim.NumericError):
-            optim.srcd_step(state, grads)
+            _bundle(state, 32 + k, scale=1e200, poison=(block, index, bad))
+
+
+def test_gradpack_is_frozen_and_keeps_its_sums():
+    state = make_state(d=7)
+    g = random_grads(state, seed=33)
+    skew = mf.skew_grad(state.w, g.w)
+    pack = optim.GradPack(w=g.w, skew=skew, x=g.x)
+    assert pack.w_sq == float(np.vdot(g.w, g.w))
+    assert pack.skew_sq == float(np.vdot(skew, skew))
+    assert pack.x_sq == (float(np.sum(g.x["x"] * g.x["x"])),)
+    assert optim.GradPack(skew=skew).w_sq is None
+    for attr in ("w", "skew", "x", "skew_sq"):
+        with pytest.raises(AttributeError):
+            setattr(pack, attr, None)
 
 
 def _parent_partials(w, g):

@@ -1,6 +1,7 @@
-import importlib
+import importlib.util
 import math
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,22 @@ def test_readme_quick_start_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # perfbench's tracer swaps each target through `owner.__dict__[attr]`,
+    # so deleting or moving one of these names makes a traced benchmark
+    # run fail; its tracing module is loaded from the file, unchanged
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while defined
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    modules = [importlib.import_module(f"orthocd.{m}") for m in
+               ("cli", "copytask", "rnn", "manifold", "optim", "analysis")]
+    targets = tracing._targets(*modules)
+    assert targets
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in targets if attr not in owner.__dict__]
+    assert missing == []

@@ -478,6 +478,64 @@ def test_logits_keeps_no_hidden_states():
     assert peak <= 0.25 * steps * bsz * d * 8
 
 
+def _xent_out_of_place(logits, targets, mask, count):
+    # the two-array cross-entropy: exp(logits - m) written to a second
+    # array beside the difference
+    m = logits.max(axis=-1, keepdims=True)
+    ez = np.exp(logits - m)
+    sez = ez.sum(axis=-1, keepdims=True)
+    lse = np.log(sez[..., 0]) + m[..., 0]
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return float((lse - picked)[mask].sum() / count), ez, sez
+
+
+@pytest.mark.parametrize("bsz, steps, d_out", [(1, 1, 2), (3, 14, 10), (128, 1020, 10)])
+def test_xent_in_place_exp_is_bitwise_the_two_array_form(monkeypatch, bsz, steps, d_out):
+    # `loss` over logits at scales from tiny to saturating, and `backward`'s
+    # loss and gradients (batch-first views of time-major logits), equal
+    # the out-of-place form's bits
+    rng = np.random.default_rng(35)
+    targets = rng.integers(0, d_out, (bsz, steps))
+    mask = rng.random((bsz, steps)) < 0.5
+    mask[0, 0] = True
+    base = rng.standard_normal((bsz, steps, d_out))
+    params = rnn.init_params(8, 5, d_out, seed=36)
+    inputs = np.eye(5)[rng.integers(0, 5, (bsz, steps))]
+
+    def run():
+        losses = [rnn.loss(base * scale, targets, mask) for scale in (1e-8, 1.0, 30.0, 1e3)]
+        value, grads = rnn.backward(params, inputs, targets, mask)
+        return losses, value, grads
+
+    got = run()
+    monkeypatch.setattr(rnn, "_xent", _xent_out_of_place)
+    want = run()
+    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    for field in dataclasses.fields(got[2]):
+        g, w = getattr(got[2], field.name), getattr(want[2], field.name)
+        assert g.tobytes() == w.tobytes(), field.name
+
+
+def test_loss_makes_one_logits_sized_array():
+    # at the paper shape (T*B rows far past one chunk) `rnn.loss` holds
+    # exp(logits - max) in the one difference array, not beside it:
+    # about 1.55x the logits' bytes, against 2.1x with two such arrays
+    bsz, steps, d_out = 128, 1020, 10
+    rng = np.random.default_rng(37)
+    logits = rng.standard_normal((bsz, steps, d_out)) * 3.0
+    targets = rng.integers(0, d_out, (bsz, steps))
+    mask = rng.random((bsz, steps)) < 0.5
+    assert steps * bsz > rnn.CHUNK_ROWS
+    tracemalloc.start()
+    try:
+        rnn.loss(logits, targets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * logits.nbytes
+
+
 @pytest.mark.skipif("numpy" not in blas.thread_counts(),
                     reason="numpy's OpenBLAS copy not found")
 @pytest.mark.parametrize("d, bsz, steps, held", [(16, 4, 10, True), (512, 8, 20, False)])
