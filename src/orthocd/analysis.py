@@ -204,9 +204,10 @@ def bench_update(
     the requested width), making and checking inside the timed region
     the bundle `train` hands the step: S = antisym(A) from BPTT's
     A = W^T G, or, to the `sgd` baseline, which needs it, G = W A.  No
-    thread limit is added: each step takes the package's own holds (a
-    small expm or BPTT runs with its OpenBLAS copy at one thread and
-    gives the count back), and the counts in force go to run_meta.json.  Setup and allocation stay
+    thread limit is added: each step takes the package's own hold (a
+    small BPTT runs with numpy's OpenBLAS at one thread and gives the
+    count back; expm runs on that same pool at the count in force), and
+    the counts in force go to run_meta.json.  Setup and allocation stay
     outside the timed region, and the same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
     flops field is the optimizer's analytic W-path count, not measured,

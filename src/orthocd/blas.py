@@ -1,11 +1,13 @@
 """Read the thread counts of the OpenBLAS copies in this process, and
 hold one copy at a given count for the length of a block.
 
-numpy and scipy wheels each bundle their own OpenBLAS (numpy's
-`libscipy_openblas64_`, scipy's `libscipy_openblas`), and each copy runs
-its own thread pool.  This module finds the copies that are loaded
-(from /proc/self/maps, once per process) and talks to them through
-ctypes, with no dependency beyond the standard library.
+numpy wheels bundle an OpenBLAS (`libscipy_openblas64_`) with its own
+thread pool, and orthocd runs all of its BLAS work there.  Another
+package loaded into the same process may bring a second copy with a
+second pool (scipy's wheel bundles `libscipy_openblas`); each copy is
+reported under its owning package.  This module finds the copies that
+are loaded (from /proc/self/maps, once per process) and talks to them
+through ctypes, with no dependency beyond the standard library.
 
 The package's one thread rule: a copy is held at one thread for the
 length of a small call, then given back the count it had.  Nothing here

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, blas, copytask, manifold, optim, rnn
 
@@ -270,7 +269,6 @@ def _machine_metadata() -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "thread_env": {k: os.environ[k] for k in
                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

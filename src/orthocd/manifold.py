@@ -33,21 +33,15 @@ or loaded (`rnn.RnnParams.check`), and by the tests.  The checks left
 here guard one call's own input: `exp_map` rejects a non-tangent xi,
 `matrix_expm` a non-skew matrix and `reorthogonalize` a gross defect.
 
-Thread policy.  numpy and scipy wheels each bundle an OpenBLAS copy with
-its own thread pool.  The only scipy call in this package is the
-`scipy.linalg.expm` inside `matrix_expm`.  Below EXPM_THREADED_MIN_D it
-runs with scipy's copy held at one thread, which is given back its count
-on return (`orthocd.blas.held_threads`): otherwise the idle workers of
-scipy's pool spin after the call and take CPUs from numpy's pool, and the
-numpy calls that follow slow down several-fold on a machine with few
-cores (on 2 vCPUs at d=190: `random_orthogonal` 23 -> 5 ms, `exp_map`
-35 -> 8 ms with scipy's copy at one thread).  From that width up a
-single expm runs long enough that its threads gain more than the
-spinning costs (the dense step measured on 2 vCPUs: d=768 254 -> 231 ms
-with one thread, d=896 even, d=1024 450 -> 476 ms), so there it runs at
-the count in force.  numpy's copy is held the same way, by `rnn`, for
-the length of a small BPTT.  Where scipy's copy is not found (a shared
-or non-OpenBLAS BLAS) nothing is changed.
+Thread policy.  Every product of this module runs on numpy's one
+OpenBLAS pool; `matrix_expm` is numpy code too (scaling and squaring
+with a Pade approximant, Higham 2005), so the package loads no second
+BLAS.  Two copies in one process fight: the idle workers of one pool
+spin after a call and take CPUs from the other's next call (perfbench's
+dense step at d=1024 on 2 vCPUs: median 391 ms with expm in scipy's
+copy, 225 ms all in numpy's).  numpy's pool is held at one thread by `rnn`
+for the length of a small BPTT, and given back its count on return
+(`orthocd.blas.held_threads`).
 """
 
 from __future__ import annotations
@@ -56,9 +50,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-
-from . import blas
 
 __all__ = [
     "all_partials",
@@ -82,7 +73,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
-EXPM_THREADED_MIN_D = 900  # thread policy: see the module docstring
 SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see antisym
 
 
@@ -196,23 +186,29 @@ def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def antisym(a: np.ndarray) -> np.ndarray:
-    """a - a.T, bitwise, in O(d^2): S from A = W^T G, when a caller
-    (BPTT, see `rnn.Grads`) has A without forming the product.  From
+def _with_transpose(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op(a, a.T) for an elementwise ufunc, bitwise, in O(d^2).  From
     SKEW_BLOCKED_MIN_D up it is formed in square tiles: a strided
-    transpose of the whole matrix misses cache on every read (d=1024 on
-    2 vCPUs: 18 -> 9 ms); below that width the one-shot form is
-    faster."""
+    transpose of the whole matrix misses cache on every read (a - a.T
+    at d=1024 on 2 vCPUs: 18 -> 9 ms); below that width the one-shot
+    form is faster."""
     d = a.shape[0]
     if d < SKEW_BLOCKED_MIN_D:
-        return a - a.T
-    s = np.empty_like(a)
+        return op(a, a.T)
+    out = np.empty_like(a)
     tile = 128
     for r in range(0, d, tile):
         for c in range(0, d, tile):
-            np.subtract(a[r:r + tile, c:c + tile], a[c:c + tile, r:r + tile].T,
-                        out=s[r:r + tile, c:c + tile])
-    return s
+            op(a[r:r + tile, c:c + tile], a[c:c + tile, r:r + tile].T,
+               out=out[r:r + tile, c:c + tile])
+    return out
+
+
+def antisym(a: np.ndarray) -> np.ndarray:
+    """a - a.T, bitwise, in O(d^2): S from A = W^T G, when a caller
+    (BPTT, see `rnn.Grads`) has A without forming the product.  Tiled
+    from SKEW_BLOCKED_MIN_D up (`_with_transpose`)."""
+    return _with_transpose(np.subtract, a)
 
 
 def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -250,43 +246,136 @@ def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 # exponential map and Givens shortcut
 # ---------------------------------------------------------------------------
 
+# Pade approximants r_m = q_m(A)^-1 p_m(A) of degree m for scaling and
+# squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), as
+# (m, theta_m, (b_0, ..., b_m)): theta_m bounds the ||A||_1 at which r_m
+# is exp to double precision, b_k are p_m's coefficients, q_m(A) = p_m(-A)
+_PADE_TABLE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                              302702400.0, 30270240.0, 2162160.0, 110880.0,
+                              3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0,
+                               129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0,
+                               40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _signed(coeffs: tuple) -> tuple:
+    """(c_0, c_1, ...) -> (c_0, -c_1, c_2, ...)."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
+
+
+# (m, theta_m, even, odd): with N = S S^T = -S^2 for skew S, S^2k is
+# (-1)^k N^k, so p_m(S) = sum_k even[k] N^k + S sum_k odd[k] N^k with
+# even[k] = (-1)^k b_2k and odd[k] = (-1)^k b_2k+1
+_PADE = tuple((m, theta, _signed(b[0::2]), _signed(b[1::2]))
+              for m, theta, b in _PADE_TABLE)
+
+
+def _comb(coeffs, powers: list[np.ndarray]) -> np.ndarray:
+    """sum_k coeffs[k] powers[k] over the shorter of the two, fresh."""
+    out = coeffs[0] * powers[0]
+    for c, p in zip(coeffs[1:], powers[1:]):
+        out += c * p
+    return out
+
+
+def _add_eye(x: np.ndarray, c: float) -> np.ndarray:
+    """x + c I, in place on the diagonal."""
+    x.reshape(-1)[:: x.shape[0] + 1] += c
+    return x
+
+
+def _expm_skew(s: np.ndarray) -> np.ndarray:
+    """expm(S) for an exactly skew S: the smallest degree m in 3, 5, 7, 9
+    whose theta_m bounds ||S||_1, else degree 13 on S / 2^j with j the
+    fewest halvings to theta_13, squared j times.  Numpy products only,
+    so all of it runs on numpy's BLAS.
+
+    Skew S makes the even part V of p_m(S) symmetric and the odd part U
+    skew, so q_m(S) = V - U = q and p_m(S) = q^T: the approximant is one
+    solve(q, q^T).  N = S S^T and N^2 = N N^T are Gram products (SYRK).
+    A non-finite S gives NaN throughout."""
+    norm = float(np.abs(s).sum(axis=0).max(initial=0.0))
+    for m, theta, even, odd in _PADE:
+        if norm <= theta:
+            break
+    squarings = 0
+    if m == 13:
+        if not math.isfinite(norm):
+            return np.full_like(s, np.nan)
+        squarings = max(0, math.ceil(math.log2(norm / theta)))
+        s = s * 2.0 ** -squarings
+    n = s @ s.T
+    powers = [n]
+    if m > 3:
+        powers.append(n @ n.T)
+    if m > 5:
+        powers.append(powers[1] @ n)
+    if m == 9:
+        powers.append(powers[1] @ powers[1].T)
+    if m < 13:
+        u, q = _comb(odd[1:], powers), _comb(even[1:], powers)
+    else:  # N^3 (c_4 N + c_5 N^2 + c_6 N^3) + c_1 N + c_2 N^2 + c_3 N^3
+        u = powers[2] @ _comb(odd[4:], powers) + _comb(odd[1:4], powers)
+        q = powers[2] @ _comb(even[4:], powers) + _comb(even[1:4], powers)
+    u = s @ _add_eye(u, odd[0])
+    q = _add_eye(q, even[0])
+    q -= u
+    r = np.linalg.solve(q, q.T)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _skew_part(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """||A + A^T||_F and (A - A^T)/2, the exactly skew part (A itself,
+    bitwise, when A is skew), both through the tiled transpose."""
+    defect = float(np.linalg.norm(_with_transpose(np.add, a)))
+    s = _with_transpose(np.subtract, a)
+    s /= 2.0
+    return defect, s
+
+
 def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
-    Backed by scipy's scaling-and-squaring Pade implementation; the
-    test suite validates it against an independent truncated-Taylor
-    oracle.  Rejects inputs whose symmetric part exceeds `tol` in
-    Frobenius norm, then exponentiates the exactly skew (A - A^T)/2.
+    Rejects inputs whose symmetric part exceeds `tol` in Frobenius
+    norm, then exponentiates the exactly skew (A - A^T)/2 by scaling
+    and squaring with a Pade approximant (`_expm_skew`); the test suite
+    validates it against an independent truncated-Taylor oracle.
     """
-    a = _check_square(a)
-    defect = float(np.linalg.norm(a + a.T))
+    defect, s = _skew_part(_check_square(a))
     if defect > tol:
         raise ValueError(f"input not skew-symmetric: ||A + A^T||_F = {defect:.3e}")
-    s = (a - a.T) / 2.0  # exact for skew input, repairs rounding otherwise
-    if a.shape[0] >= EXPM_THREADED_MIN_D:
-        return scipy.linalg.expm(s)
-    with blas.held_threads("scipy", 1):
-        return scipy.linalg.expm(s)
+    return _expm_skew(s)
 
 
 def exp_map(w: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Geodesic step Exp_W(xi) = W @ expm(W^T xi).
 
     Tangency of `xi` at W is validated: a defect above
-    tol * max(1, ||xi||) raises.
+    tol * max(1, ||xi||) raises.  That check is stricter than
+    `matrix_expm`'s, so the exactly skew part of W^T xi goes to the Pade
+    core directly.
     """
     w = _check_square(w)
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, xi is {xi.shape}")
-    omega = w.T @ xi
-    defect = float(np.linalg.norm(omega + omega.T))
+    defect, omega = _skew_part(w.T @ xi)
     scale = max(1.0, float(np.linalg.norm(xi)))
     if defect > tol * scale:
         raise ValueError(
             f"xi is not tangent at W: ||W^T xi + (W^T xi)^T||_F = {defect:.3e}"
         )
-    return w @ matrix_expm((omega - omega.T) / 2.0)
+    return w @ _expm_skew(omega)
 
 
 def givens_update(

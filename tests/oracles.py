@@ -15,7 +15,7 @@ def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
 
     For ||A||_F <= pi the term after 30 is below 1e-16 relative, so
     within the angle ranges the tests draw this is exact to roundoff.
-    No squaring-and-scaling, no Pade: independent of scipy's algorithm.
+    No squaring-and-scaling, no Pade: independent of matrix_expm's algorithm.
     """
     a = np.asarray(a, dtype=np.float64)
     out = np.eye(a.shape[0])

@@ -206,8 +206,9 @@ def test_block_keys_reach_only_block_gs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("optimizer", ["srcd-gs", "srgd"])
 def test_run_meta_records_openblas_threads(tmp_path, monkeypatch, optimizer):
-    # a run leaves every OpenBLAS count as it found it (srgd's expm and
-    # the BPTT hold theirs only for the call) and records that count
+    # a run leaves every OpenBLAS count as it found it (the BPTT holds
+    # numpy's only for the call) and records that count; numpy is the
+    # one BLAS-backed library the machine block names
     before = blas.thread_counts()
     assert run_main(["train", *TINY, "--optimizer", optimizer],
                     tmp_path, monkeypatch) == 0
@@ -215,6 +216,7 @@ def test_run_meta_records_openblas_threads(tmp_path, monkeypatch, optimizer):
     meta = json.loads((rundir / "run_meta.json").read_text())
     assert blas.thread_counts() == before
     assert meta["machine"]["openblas_threads"] == before
+    assert "numpy" in meta["machine"] and "scipy" not in meta["machine"]
 
 
 def test_train_bitwise_deterministic(tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from orthocd import blas
 from orthocd import manifold as mf
@@ -200,25 +203,81 @@ def test_matrix_expm_rejects_non_skew():
         mf.matrix_expm(np.eye(3))
 
 
-@pytest.mark.skipif("scipy" not in blas.thread_counts(),
-                    reason="scipy's OpenBLAS copy not found")
-def test_matrix_expm_holds_scipy_openblas_at_one_thread(monkeypatch):
-    # below EXPM_THREADED_MIN_D expm runs with scipy's OpenBLAS at one
-    # thread, from that width up at the count in force; the count is put
-    # back on return
-    before = blas.thread_counts()
-    seen = []
-    expm = scipy.linalg.expm
+# ||S||_1 / theta_m for each Pade degree: just inside m = 3, 5, 7, 9, 13,
+# then past theta_13, one squaring and two
+_PADE_CASES = [(m, 0.9) for m, *_ in mf._PADE] + [(13, 1.1), (13, 2.5)]
 
-    def spy(a):
-        seen.append(blas.thread_counts()["scipy"])
-        return expm(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", spy)
-    for d in (50, mf.EXPM_THREADED_MIN_D, 50):
-        mf.matrix_expm(np.zeros((d, d)))
-        assert blas.thread_counts() == before
-    assert seen == [1, before["scipy"], 1]
+@pytest.mark.parametrize("d", [2, 25, 64, 190])
+def test_matrix_expm_every_pade_branch_matches_taylor(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    unit = (a - a.T) / 2.0
+    unit /= np.abs(unit).sum(axis=0).max()
+    theta = {m: th for m, th, *_ in mf._PADE}
+    for m, ratio in _PADE_CASES:
+        if d == 2 and ratio > 2:
+            continue  # the oracle's rounding grows with ||S||_2, here ||S||_1
+        s = ratio * theta[m] * unit
+        got = mf.matrix_expm(s)
+        want = taylor_expm(s, terms=60)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (m, ratio)
+        assert mf.orthogonality_defect(got) <= 1e-13, (m, ratio)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 16, 190, 600])
+def test_matrix_expm_of_zero_is_identity_exactly(d):
+    assert np.array_equal(mf.matrix_expm(np.zeros((d, d))), np.eye(d))
+
+
+@pytest.mark.parametrize("d", [5, 600])
+def test_expm_checks_refuse_what_they_refused(d):
+    # matrix_expm refuses a non-square or non-skew input and exp_map a
+    # non-tangent xi, below and from SKEW_BLOCKED_MIN_D (the tiled a + a.T);
+    # a non-finite input is not refused and comes back NaN
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    s = (a - a.T) / 2.0
+    for bad in (np.zeros(d), np.zeros((d, d + 1)), np.zeros((2, d, d)),
+                np.eye(d), s + 1e-9 * np.eye(d)):
+        with pytest.raises(ValueError):
+            mf.matrix_expm(bad)
+    w = random_w(d, seed=1)
+    for bad in (w @ (s + 1e-9 * np.eye(d)), w @ a):
+        with pytest.raises(ValueError):
+            mf.exp_map(w, bad)
+    with pytest.raises(ValueError):
+        mf.exp_map(w, np.zeros((d, d + 1)))
+    poisoned = s.copy()
+    poisoned[0, 1] = np.nan
+    assert np.isnan(mf.matrix_expm(poisoned)).all()
+    # within tol the input is repaired to (a - a.T)/2 with the same bits
+    # as the one-shot transpose, then exponentiated
+    near = s + 1e-14 * rng.standard_normal((d, d))
+    assert np.array_equal(mf._with_transpose(np.add, near), near + near.T)
+    assert np.array_equal(mf.matrix_expm(near), mf._expm_skew((near - near.T) / 2.0))
+
+
+def test_no_module_imports_scipy(tmp_path):
+    # every product runs on numpy's OpenBLAS pool: importing every
+    # orthocd module and a tiny srgd run (the expm path) load no scipy
+    from test_cli import TINY
+    import orthocd
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import orthocd\n"
+        "for info in pkgutil.iter_modules(orthocd.__path__):\n"
+        "    importlib.import_module('orthocd.' + info.name)\n"
+        "from orthocd import cli\n"
+        f"rc = cli.main({['train', *TINY, '--optimizer', 'srgd', '--out', str(tmp_path / 'run')]!r})\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "ORTHOCD_RUNS": str(tmp_path / "runs"),
+           "PYTHONPATH": str(Path(orthocd.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[-2] == "0 []"
+    assert (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 def test_blas_held_threads_restores_the_count():
