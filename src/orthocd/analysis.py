@@ -46,10 +46,6 @@ class SparsityProfile:
     frac99_abs: float
     norm: float
 
-    @property
-    def n_coords(self) -> int:
-        return self.sorted_magnitudes.size
-
 
 def _frac_needed(cum: np.ndarray, p: float) -> float:
     # smallest n with cum[n-1] >= p, as a fraction of the length;

@@ -1,5 +1,5 @@
 """Read the thread counts of the OpenBLAS copies in this process, and
-hold one copy at a given count for the length of a block.
+hold numpy's copy at one thread for the length of a block.
 
 numpy wheels bundle an OpenBLAS (`libscipy_openblas64_`) with its own
 thread pool, and orthocd runs all of its BLAS work there.  Another
@@ -9,9 +9,9 @@ reported under its owning package.  This module finds the copies that
 are loaded (from /proc/self/maps, once per process) and talks to them
 through ctypes, with no dependency beyond the standard library.
 
-The package's one thread rule: a copy is held at one thread for the
-length of a small call, then given back the count it had.  Nothing here
-changes a count beyond the block that asked for it.
+The package's one thread rule: numpy's copy is held at one thread for
+the length of a small call, then given back the count it had.  Nothing
+here changes a count beyond the block that asked for it.
 
 Where no OpenBLAS copy is found (MKL or Accelerate builds, or a system
 without /proc) every function here does nothing: `thread_counts` returns
@@ -87,19 +87,17 @@ def thread_counts() -> dict[str, int]:
 
 
 @contextlib.contextmanager
-def held_threads(owner: str, n: int):
-    """Run the block with the OpenBLAS copy keyed `owner` at `n`
-    threads, then put back the count it had before.  Cheap enough to
-    wrap a single call; does nothing when that copy is not loaded."""
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    handles = _loaded_openblas().get(owner)
+def held_threads():
+    """Run the block with numpy's OpenBLAS copy at one thread, then put
+    back the count it had before.  Cheap enough to wrap a single call;
+    does nothing when that copy is not loaded."""
+    handles = _loaded_openblas().get("numpy")
     if handles is None:
         yield
         return
     get_fn, set_fn = handles
     before = get_fn()
-    set_fn(n)
+    set_fn(1)
     try:
         yield
     finally:

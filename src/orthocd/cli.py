@@ -37,7 +37,7 @@ import subprocess
 import sys
 import threading
 import time
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,8 +141,12 @@ def parse_config(path: str | None = None,
     flag overrides."""
     file_vals: dict[str, object] = {}
     if path is not None:
-        parser = ConfigParser()
-        read = parser.read(path)
+        # no interpolation: config.ini files hold values verbatim, "%" too
+        parser = ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except ConfigParserError as exc:
+            raise ConfigError(f"bad config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
@@ -175,8 +179,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.mask not in ("full", "recall"):
         raise ConfigError(f"unknown mask mode {cfg.mask!r}")
-    if cfg.schedule not in ("fixed", "polynomial"):
-        raise ConfigError(f"unknown schedule {cfg.schedule!r}")
     if cfg.iterations < 0:
         raise ConfigError("iterations must be >= 0")
     if cfg.d < 2 or cfg.d % 2 != 0:
@@ -316,10 +318,8 @@ class RunDir:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
+    if isinstance(v, float):  # np.float64 too, a float subclass
         return format(v, ".17g")
-    if isinstance(v, (np.floating,)):
-        return format(float(v), ".17g")
     return str(v)
 
 

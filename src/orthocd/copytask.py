@@ -80,16 +80,14 @@ class CopyTaskBatch:
 
 def generate_batch(
     cfg: CopyTaskConfig,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator,
     mask_mode: str = "full",
 ) -> CopyTaskBatch:
-    """Draw letters i.i.d. uniform and lay out the sequences.
+    """Draw letters i.i.d. uniform from `rng` and lay out the sequences.
 
     mask_mode "full" scores every step (the default; baseline_loss is
     stated in this convention), "recall" scores only the final K steps.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     if mask_mode not in ("full", "recall"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     n, k, lag, bsz = cfg.alphabet, cfg.copy_len, cfg.lag, cfg.batch

@@ -36,12 +36,9 @@ here guard one call's own input: `exp_map` rejects a non-tangent xi,
 Thread policy.  Every product of this module runs on numpy's one
 OpenBLAS pool; `matrix_expm` is numpy code too (scaling and squaring
 with a Pade approximant, Higham 2005), so the package loads no second
-BLAS.  Two copies in one process fight: the idle workers of one pool
-spin after a call and take CPUs from the other's next call (perfbench's
-dense step at d=1024 on 2 vCPUs: median 391 ms with expm in scipy's
-copy, 225 ms all in numpy's).  numpy's pool is held at one thread by `rnn`
-for the length of a small BPTT, and given back its count on return
-(`orthocd.blas.held_threads`).
+BLAS, whose idle workers would spin and take CPUs from numpy's.  numpy's
+pool is held at one thread by `rnn` for the length of a small BPTT, and
+given back its count on return (`orthocd.blas.held_threads`).
 """
 
 from __future__ import annotations
@@ -73,6 +70,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
+SKEW_TOL = 1e-10  # matrix_expm's and exp_map's skew checks
 SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see antisym
 
 
@@ -343,25 +341,25 @@ def _skew_part(a: np.ndarray) -> tuple[float, np.ndarray]:
     return defect, s
 
 
-def matrix_expm(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def matrix_expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
-    Rejects inputs whose symmetric part exceeds `tol` in Frobenius
+    Rejects inputs whose symmetric part exceeds SKEW_TOL in Frobenius
     norm, then exponentiates the exactly skew (A - A^T)/2 by scaling
     and squaring with a Pade approximant (`_expm_skew`); the test suite
     validates it against an independent truncated-Taylor oracle.
     """
     defect, s = _skew_part(_check_square(a))
-    if defect > tol:
+    if defect > SKEW_TOL:
         raise ValueError(f"input not skew-symmetric: ||A + A^T||_F = {defect:.3e}")
     return _expm_skew(s)
 
 
-def exp_map(w: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def exp_map(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Geodesic step Exp_W(xi) = W @ expm(W^T xi).
 
     Tangency of `xi` at W is validated: a defect above
-    tol * max(1, ||xi||) raises.  That check is stricter than
+    SKEW_TOL * max(1, ||xi||) raises.  That check is stricter than
     `matrix_expm`'s, so the exactly skew part of W^T xi goes to the Pade
     core directly.
     """
@@ -371,7 +369,7 @@ def exp_map(w: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"shape mismatch: W is {w.shape}, xi is {xi.shape}")
     defect, omega = _skew_part(w.T @ xi)
     scale = max(1.0, float(np.linalg.norm(xi)))
-    if defect > tol * scale:
+    if defect > SKEW_TOL * scale:
         raise ValueError(
             f"xi is not tangent at W: ||W^T xi + (W^T xi)^T||_F = {defect:.3e}"
         )

@@ -22,13 +22,13 @@ so the outputs do not depend on the chunks (a chunk of one row, B = 1,
 is the exception: numpy runs it as a matrix-vector product, which
 rounds differently).
 
-Memory.  `forward` stores hidden states, preactivations and logits.
-`logits` runs the same evaluation, bitwise, but holds one chunk of
-hidden states and no preactivations: beside its (T, B, d_out) result
-it keeps no (T, B, .) array.  `backward` stores the hidden states and
-logits of the forward pass and a fixed chunk of CHUNK_ROWS rows for
-its reverse sweep, so its memory peak is about one (T, B, d) float64
-array plus that chunk, two such arrays when T*B fits in one chunk.
+Memory.  `forward` stores hidden states and logits.  `logits` runs
+the same evaluation, bitwise, but holds one chunk of hidden states:
+beside its (T, B, d_out) result it keeps no (T, B, .) array.
+`backward` stores the hidden states and logits of the forward pass
+and a fixed chunk of CHUNK_ROWS rows for its reverse sweep, so its
+memory peak is about one (T, B, d) float64 array plus that chunk, two
+such arrays when T*B fits in one chunk.
 `loss` and `backward` share one softmax cross-entropy.  All math is in float64 and every function here is
 deterministic, so a fixed seed reproduces runs bitwise at fixed BLAS
 thread counts: a product large enough to keep its threads may round
@@ -42,10 +42,10 @@ at (B, d) = (128, 190), 14 -> 2.3 us at (32, 64)).  np.copysign
 would need no buffer, but where a preactivation is exactly 0 and
 b_mod > 0 it gives +-b instead of modReLU's 0.
 
-Thread policy.  As everywhere in the package (see `orthocd.blas`), an
-OpenBLAS copy is held at one thread for the length of a small call, then
-given back its count.  Here `forward`, `logits` and `backward` hold
-numpy's copy when the A product, T*B*d*d multiply-adds, is below
+Thread policy.  As everywhere in the package (see `orthocd.blas`),
+numpy's OpenBLAS copy is held at one thread for the length of a small
+call, then given back its count.  Here `forward`, `logits` and
+`backward` hold it when the A product, T*B*d*d multiply-adds, is below
 BPTT_THREADED_MIN_WORK.  Below that size the products are short and a
 second thread gains little (backward on 2 vCPUs, idle host, one thread
 -> two: d=64, T=110, B=32 14.6 -> 13.6 ms; d=96 20.9 -> 19.4 ms).  But
@@ -60,6 +60,8 @@ count is left as it is.
 from __future__ import annotations
 
 import contextlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -139,7 +141,6 @@ class RnnParams:
 @dataclass
 class ForwardTrace:
     hidden: np.ndarray  # (B, T, d)
-    preact: np.ndarray  # (B, T, d)
     logits: np.ndarray  # (B, T, d_out)
 
 
@@ -184,7 +185,7 @@ def _thread_policy(params: RnnParams, bsz: int, steps: int):
     docstring); a no-op context otherwise."""
     if steps * bsz * params.d ** 2 >= BPTT_THREADED_MIN_WORK:
         return contextlib.nullcontext()
-    return blas.held_threads("numpy", 1)
+    return blas.held_threads()
 
 
 def _span(steps: int, bsz: int) -> int:
@@ -196,7 +197,6 @@ def _span(steps: int, bsz: int) -> int:
 def _recur(
     params: RnnParams,
     inputs: np.ndarray,
-    preact: np.ndarray | None = None,
     keep_hidden: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence, time-major, from h(-1) = 0, and its logits.
@@ -210,8 +210,7 @@ def _recur(
     matmul, one product per step, writes the chunk's logits while its
     states are in cache.  b_out is added once.  Without `keep_hidden`,
     one (span, B, d) buffer serves every chunk and is what `hidden`
-    returns; the scratch carries h into the next chunk.  A (T, B, d)
-    `preact` array, when given, receives the preactivations.
+    returns; the scratch carries h into the next chunk.
     """
     bsz, steps, d_in = inputs.shape
     if d_in != params.d_in:
@@ -234,8 +233,6 @@ def _recur(
         for t, pre in enumerate(chunk, t0):
             if t:
                 pre += prod
-            if preact is not None:
-                preact[t] = pre
             np.abs(pre, out=mag)  # modrelu(pre, b_mod), into pre
             mag += b_mod
             np.maximum(mag, 0.0, out=mag)
@@ -251,26 +248,23 @@ def _recur(
 def _evaluate(
     params: RnnParams,
     inputs: np.ndarray,
-    keep_preact: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(hidden, preact or None, logits), time-major: the one evaluation
-    behind `forward` and `logits`.  Without preactivations no (T, B, d)
-    array is kept, and `hidden` is the last chunk's buffer."""
+    keep_hidden: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits), time-major: the one evaluation behind `forward`
+    and `logits`.  Without `keep_hidden` no (T, B, d) array is kept, and
+    `hidden` is the last chunk's buffer."""
     inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
-    preact = np.empty((steps, bsz, params.d)) if keep_preact else None
     with _thread_policy(params, bsz, steps):
-        hidden, out = _recur(params, inputs, preact, keep_hidden=keep_preact)
-    return hidden, preact, out
+        return _recur(params, inputs, keep_hidden)
 
 
 def forward(params: RnnParams, inputs: np.ndarray) -> ForwardTrace:
     """Run the recurrence from h(-1) = 0 over a batch of sequences
     (B, T, d_in).  The trace fields are (B, T, .) views of time-major
     arrays."""
-    hidden, preact, out = _evaluate(params, inputs, keep_preact=True)
+    hidden, out = _evaluate(params, inputs, keep_hidden=True)
     return ForwardTrace(hidden=hidden.transpose(1, 0, 2),
-                        preact=preact.transpose(1, 0, 2),
                         logits=out.transpose(1, 0, 2))
 
 
@@ -278,7 +272,7 @@ def logits(params: RnnParams, inputs: np.ndarray) -> np.ndarray:
     """The (B, T, d_out) logits of `forward`, bitwise, holding one chunk
     of hidden states at a time (a (B, T, d_out) view of a time-major
     array)."""
-    return _evaluate(params, inputs, keep_preact=False)[2].transpose(1, 0, 2)
+    return _evaluate(params, inputs, keep_hidden=False)[1].transpose(1, 0, 2)
 
 
 def _check_targets(
@@ -464,29 +458,18 @@ def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
 # initialization
 # ---------------------------------------------------------------------------
 
-def cayley_block_init(
-    d: int,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-    angles: np.ndarray | None = None,
-) -> np.ndarray:
+def cayley_block_init(d: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal W0 = (I + A)^-1 (I - A), A block-diagonal with 2x2
-    skew blocks [[0, s], [-s, 0]], s ~ Uniform[-pi, pi] per block.
+    skew blocks [[0, s], [-s, 0]], s ~ Uniform[-pi, pi] per block, the
+    d/2 angles drawn from `rng` in one call.
 
-    `angles` overrides the sampling (length d/2), for tests.  The
-    transform of a block is [[1-s^2, -2s], [2s, 1-s^2]] / (1+s^2), so
-    W0 is written in closed form with O(d) arithmetic, not a d x d
+    The transform of a block is [[1-s^2, -2s], [2s, 1-s^2]] / (1+s^2),
+    so W0 is written in closed form with O(d) arithmetic, not a d x d
     solve; the tests compare it with the linear-solve transform.
     """
     if d % 2 != 0:
         raise ValueError(f"cayley_block_init needs even d, got {d}")
-    if angles is None:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        angles = rng.uniform(-np.pi, np.pi, size=d // 2)
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape != (d // 2,):
-        raise ValueError(f"need {d // 2} block angles, got shape {angles.shape}")
+    angles = rng.uniform(-np.pi, np.pi, size=d // 2)
     den = 1.0 + angles * angles
     cos = (1.0 - angles * angles) / den
     sin = 2.0 * angles / den
@@ -506,7 +489,7 @@ def init_params(d: int, d_in: int, d_out: int, seed: int = 0) -> RnnParams:
     N(0, sqrt(2/fan_in)); b_mod ~ Uniform[-0.01, 0.01]; b_out = 0.
     """
     rng = np.random.default_rng(seed)
-    w = cayley_block_init(d, rng=rng)
+    w = cayley_block_init(d, rng)
     w_in = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d, d_in))
     w_out = rng.normal(0.0, np.sqrt(2.0 / d), size=(d_out, d))
     b_mod = rng.uniform(-0.01, 0.01, size=d)
@@ -536,6 +519,10 @@ def save_checkpoint(path, params: RnnParams, seed: int = 0) -> None:
 
 
 def load_checkpoint(path) -> tuple[RnnParams, int]:
+    """Read a `save_checkpoint` file.  Its length must be the one the
+    header's (d, d_in, d_out) lay out, counted in Python ints, so a
+    truncated file, trailing bytes or a header claiming huge blocks
+    raise ValueError before any block is read."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _CKPT_MAGIC:
@@ -546,14 +533,14 @@ def load_checkpoint(path) -> tuple[RnnParams, int]:
         version, d, d_in, d_out, seed = struct.unpack("<BIIIQ", header)
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        def block(*shape: int) -> np.ndarray:
-            n = int(np.prod(shape))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError("truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        params = RnnParams(
-            w_in=block(d, d_in), w=block(d, d), w_out=block(d_out, d),
-            b_out=block(d_out), b_mod=block(d))
+        shapes = ((d, d_in), (d, d), (d_out, d), (d_out,), (d,))  # RnnParams' order
+        want = 29 + 8 * sum(math.prod(shape) for shape in shapes)
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            kind = "truncated checkpoint" if size < want else "trailing bytes in checkpoint"
+            raise ValueError(f"{kind}: {size} bytes, its header lays out {want}")
+        params = RnnParams(*(
+            np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+            for shape in shapes))
     params.check()
     return params, seed

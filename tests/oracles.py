@@ -81,25 +81,27 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray,
     return total / count if count else 0.0
 
 
-def rnn_forward(params, inputs: np.ndarray):
+def rnn_forward(params, inputs: np.ndarray, return_preact: bool = False):
     """Step-by-step modReLU recurrence from h(-1) = 0, with per-sample
     matvec loops.
 
     Returns (hidden, logits) shaped like the library's ForwardTrace
-    fields.
+    fields, and the (B, T, d) preactivations third with `return_preact`.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     b, t, _ = inputs.shape
     d = params.d
     hidden = np.empty((b, t, d))
+    preact = np.empty((b, t, d))
     for bi in range(b):
         h = np.zeros(d)
         for ti in range(t):
             pre = params.w_in @ inputs[bi, ti] + params.w @ h
             h = np.sign(pre) * np.maximum(np.abs(pre) + params.b_mod, 0.0)
             hidden[bi, ti] = h
+            preact[bi, ti] = pre
     logits = hidden @ params.w_out.T + params.b_out
-    return hidden, logits
+    return (hidden, logits, preact) if return_preact else (hidden, logits)
 
 
 def select_gauss_southwell(partials: np.ndarray) -> int:
@@ -157,19 +159,17 @@ def cayley_solve(angles: np.ndarray) -> np.ndarray:
 def rnn_backward_per_step(params, inputs, targets, mask=None):
     """BPTT batch-first from h(-1) = 0, with dW, dW_in and b_mod
     accumulated one time step at a time and the modReLU mask read from
-    the stored preactivations (the loop the library's time-major
-    backward replaced).  Returns (loss, dict of gradient blocks)."""
+    the preactivations of `rnn_forward`, this module's own forward pass
+    (the loop the library's time-major backward replaced).  Returns
+    (loss, dict of gradient blocks)."""
     from orthocd import rnn
 
     inputs = np.asarray(inputs, dtype=np.float64)
     bsz, steps, _ = inputs.shape
     targets = np.asarray(targets)
-    trace = rnn.forward(params, inputs)
-    preact = np.ascontiguousarray(trace.preact)
-    hidden = np.ascontiguousarray(trace.hidden)
-    mask = rnn._resolve_mask(mask, trace.logits.shape[:-1])
-    value, dlogits = rnn._loss_and_dlogits(
-        np.ascontiguousarray(trace.logits), targets, mask)
+    hidden, logits, preact = rnn_forward(params, inputs, return_preact=True)
+    mask = rnn._resolve_mask(mask, logits.shape[:-1])
+    value, dlogits = rnn._loss_and_dlogits(logits, targets, mask)
 
     d = params.d
     g = {"w_in": np.zeros_like(params.w_in), "w": np.zeros_like(params.w),

@@ -20,7 +20,7 @@ def test_profile_single_nonzero():
     assert prof.frac99 == pytest.approx(0.1)
     assert prof.frac95_abs == pytest.approx(0.1)
     assert prof.norm == pytest.approx(2.5)
-    assert prof.n_coords == 10
+    assert prof.sorted_magnitudes.size == 10
 
 
 def test_profile_all_equal():

@@ -116,6 +116,27 @@ def test_config_ini_round_trip(tmp_path):
     assert cli.parse_config(str(path)) == cfg
 
 
+def test_config_ini_with_percent_in_out_parses_back(tmp_path, monkeypatch):
+    # values are read verbatim: a "%" in --out is not interpolation syntax
+    out = tmp_path / "50%"
+    assert run_main(["train", *TINY, "--out", str(out)], tmp_path, monkeypatch) == 0
+    cfg = cli.parse_config(str(out / "config.ini"))
+    assert cfg.out == str(out)
+    assert cfg == cli.parse_config(overrides={**_overrides(TINY), "out": str(out)})
+
+
+@pytest.mark.parametrize("text", [
+    "iterations = 3\n",                          # no section header
+    "[run]\niterations = 3\niterations = 4\n",  # a duplicate key
+], ids=["headerless", "duplicate-key"])
+def test_malformed_config_file_is_a_config_error(text, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert run_main(["train", "--config", str(path)], tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_readme_config_block_matches_the_config(tmp_path):
     # the README's ini block, comments stripped, is a valid config that
     # names every key, each in its own section, at its default value
@@ -475,6 +496,7 @@ def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
     ["train", *TINY, "--schedule", "polynomial", "--power", "nan"],
     ["train", *TINY, "--offset", "inf"],
     [*CONV, "--noise_std", "nan"],
+    ["train", *TINY, "--schedule", "cosine"],  # refused by optim.StepSchedule
 ])
 def test_non_finite_values_exit_1_without_a_run_dir(args, tmp_path, monkeypatch):
     assert run_main(args, tmp_path, monkeypatch) == 1

@@ -77,7 +77,7 @@ def test_mask_modes():
     assert np.all(~recall.mask[:, :cfg.lag + cfg.copy_len])
     assert np.all(recall.mask[:, cfg.lag + cfg.copy_len:])
     with pytest.raises(ValueError):
-        ct.generate_batch(cfg, mask_mode="everything")
+        ct.generate_batch(cfg, np.random.default_rng(1), mask_mode="everything")
 
 
 def test_generate_batch_deterministic_per_seed():

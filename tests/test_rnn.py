@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -111,13 +112,12 @@ def _batch_with_zero_preactivations():
 def test_forward_hidden_is_modrelu_of_preact_bitwise():
     params, inputs, targets = _batch_with_zero_preactivations()
     trace = rnn.forward(params, inputs)
-    want = np.stack([rnn.modrelu(trace.preact[:, t], params.b_mod)
-                     for t in range(inputs.shape[1])], axis=1)
-    assert np.array_equal(trace.hidden, want)
-    assert np.array_equal(np.signbit(trace.hidden), np.signbit(want))
-    assert np.count_nonzero(trace.preact == 0.0) >= 9 * params.d
-    ident = rnn.forward(linear(params), inputs)
-    assert np.array_equal(ident.hidden, ident.preact)
+    # sequence 0's preactivations are exactly 0, so its hidden states
+    # must be exactly +0.0: no +-b, no sign bit
+    assert np.array_equal(trace.hidden[0], np.zeros_like(trace.hidden[0]))
+    assert not np.signbit(trace.hidden[0]).any()
+    _, _, preact = rnn_forward(params, inputs, return_preact=True)
+    assert np.count_nonzero(preact == 0.0) >= 9 * params.d
     value, _ = rnn.backward(params, inputs, targets)
     assert value == rnn.loss(trace.logits, targets)
 
@@ -437,7 +437,7 @@ def test_forward_chunked_is_one_chunk_bitwise(monkeypatch, chunk_rows, span):
     def outputs():
         trace = rnn.forward(params, inputs)
         value, grads = rnn.backward(params, inputs, targets, mask)
-        return ([trace.hidden, trace.preact, trace.logits,
+        return ([trace.hidden, trace.logits,
                  rnn.logits(params, inputs), np.float64(value)]
                 + [getattr(grads, name) for name in
                    ("w_in", "a", "w_out", "b_out", "b_mod")])
@@ -575,13 +575,11 @@ def test_grads_x_blocks_cover_unconstrained_parameters():
 # ---------------------------------------------------------------------------
 
 def test_cayley_block_init_matches_closed_form():
-    # the closed-form blocks against the Cayley transform as a linear solve
-    angles = np.array([0.3, -1.2, 2.5])
-    w = rnn.cayley_block_init(6, angles=angles)
-    assert np.allclose(w, cayley_solve(angles), rtol=0.0, atol=1e-14)
-    again = rnn.cayley_block_init(6, seed=7)
+    # the closed-form blocks against the Cayley transform as a linear
+    # solve, with the angles drawn from a twin generator
+    w = rnn.cayley_block_init(6, np.random.default_rng(7))
     angles = np.random.default_rng(7).uniform(-np.pi, np.pi, size=3)
-    assert np.allclose(again, cayley_solve(angles), rtol=0.0, atol=1e-14)
+    assert np.allclose(w, cayley_solve(angles), rtol=0.0, atol=1e-14)
     off = w.copy()
     for b in range(3):
         off[2 * b:2 * b + 2, 2 * b:2 * b + 2] = 0.0
@@ -589,15 +587,13 @@ def test_cayley_block_init_matches_closed_form():
 
 
 def test_cayley_block_init_properties():
-    w = rnn.cayley_block_init(32, seed=20)
+    w = rnn.cayley_block_init(32, np.random.default_rng(20))
     assert mf.orthogonality_defect(w) <= 1e-13
     assert np.linalg.det(w) == pytest.approx(1.0)
     eig = np.linalg.eigvals(w)
     assert np.allclose(np.abs(eig), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
-        rnn.cayley_block_init(7)
-    with pytest.raises(ValueError):
-        rnn.cayley_block_init(6, angles=np.zeros(2))
+        rnn.cayley_block_init(7, np.random.default_rng(20))
 
 
 def test_init_params_contract():
@@ -716,3 +712,23 @@ def test_checkpoint_rejects_non_finite_entries(tmp_path):
         broken_path.write_bytes(bytes(broken))
         with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
             rnn.load_checkpoint(broken_path)
+
+
+@pytest.mark.parametrize("dims, tail", [
+    ((0, 3, 2), b""),                       # a d = 0 header on a d = 4 file
+    ((4, 3, 2), bytes(16)),                 # 16 trailing bytes
+    ((2**32 - 1, 2**31 + 3, 2), b""),       # blocks far larger than any file
+    ((2**32 - 1, 2**32 - 1, 2), b""),       # a layout whose int64 product wraps
+    ((4, 3, 2), None),                      # the last block cut short
+], ids=["d0", "trailing", "huge", "wrapped", "truncated"])
+def test_checkpoint_length_must_match_the_header(tmp_path, dims, tail):
+    params = rnn.init_params(4, 3, 2, seed=28)
+    path = tmp_path / "model.bin"
+    rnn.save_checkpoint(path, params, seed=0)
+    raw = path.read_bytes()
+    header = raw[:8] + struct.pack("<BIII", raw[8], *dims) + raw[21:29]
+    body = raw[29:-8] if tail is None else raw[29:] + tail
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(header + body)
+    with pytest.raises(ValueError, match="truncated|trailing bytes"):
+        rnn.load_checkpoint(bad)
