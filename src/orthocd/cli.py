@@ -179,8 +179,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.mask not in ("full", "recall"):
         raise ConfigError(f"unknown mask mode {cfg.mask!r}")
-    if cfg.iterations < 0:
-        raise ConfigError("iterations must be >= 0")
+    for key in ("iterations", "seed", "reorth_every"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0")
     if cfg.d < 2 or cfg.d % 2 != 0:
         raise ConfigError(f"d must be even and >= 2, got {cfg.d}")
     if cfg.conv_d < 2:

@@ -65,7 +65,6 @@ __all__ = [
     "SelectionRule",
     "StepSchedule",
     "SyntheticProblem",
-    "apply_block",
     "schedule_step",
     "select_block_gs",
     "select_uniform",
@@ -304,10 +303,11 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
         i = manifold.coord_index(r + 1, c + 1, d)
         manifold.givens_update(w, i, -alpha * (skew[r, c] / _SQRT2), out=w)
         state.last_coords = (i,)
-    else:  # block_gs
+    else:  # block_gs: the picks share no column, so their rotations commute
         v = manifold.skew_partials(_skew(w, grads))
         coords = select_block_gs(v, rule.block_size(n_coords), d)
-        apply_block(w, coords, [-alpha * v[i - 1] for i in coords], out=w)
+        for i in coords:
+            manifold.givens_update(w, i, -alpha * v[i - 1], out=w)
         state.last_coords = tuple(coords)
     state.k += 1
     return state
@@ -400,31 +400,6 @@ def select_block_gs(partials: np.ndarray, block_size: int, d: int) -> list[int]:
         if len(chosen) == picks:
             break
     return chosen
-
-
-def apply_block(w: np.ndarray, coords, thetas,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a block of coordinate steps as Givens rotations.
-
-    The pairs must share no column (overlapping pairs raise); such
-    rotations commute, so their order does not matter.
-    """
-    coords = list(coords)
-    thetas = list(thetas)
-    if len(coords) != len(thetas):
-        raise ValueError("coords and thetas differ in length")
-    w = np.asarray(w, dtype=np.float64)
-    d = w.shape[0]
-    cols = [c for i in coords for c in manifold.coord_pair(i, d)]
-    if len(set(cols)) != len(cols):
-        raise ValueError("overlapping column pairs")
-    if out is None:
-        out = w.copy()
-    elif out is not w:
-        out[...] = w
-    for i, theta in zip(coords, thetas):
-        manifold.givens_update(out, i, theta, out=out)
-    return out
 
 
 # ---------------------------------------------------------------------------

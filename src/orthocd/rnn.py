@@ -118,10 +118,12 @@ class RnnParams:
                 "b_out": self.b_out, "b_mod": self.b_mod}
 
     def check(self) -> None:
-        """Trust-boundary check, run on checkpoint save and load: shapes
-        agree, every entry is finite and ||W^T W - I||_F <= ORTHOGONALITY_TOL
-        (written `not <=` so that a NaN defect fails)."""
+        """Trust-boundary check, run on checkpoint save and load: d >= 2
+        (d = 1 has no coordinate), shapes agree, every entry is finite and
+        ||W^T W - I||_F <= ORTHOGONALITY_TOL (`not <=`: a NaN defect fails)."""
         d, d_in, d_out = self.d, self.d_in, self.d_out
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
         if self.w_in.shape != (d, d_in) or self.w.shape != (d, d):
             raise ValueError("inconsistent parameter shapes")
         if self.w_out.shape != (d_out, d) or self.b_out.shape != (d_out,):
@@ -368,11 +370,13 @@ def backward(
     step by step and forms carry(t) = dL/dpre(t) W, the term it passes
     to step t-1.  It runs over chunks of span = CHUNK_ROWS // B steps
     (at least 1, at most T), the last steps first, in one (span, B, d)
-    buffer.  For each chunk, one GEMM writes dL/dh_out(t) into the
-    buffer, the loop writes carry(t) over it, and the chunk's shares of
-    A = W^T dW = sum_t carry(t)^T h(t-1) and of dW_in = W (C^T X)
-    (since dL/dpre(t) = carry(t) W^T) are formed from it.  The carry of
-    a chunk's first step passes to the next chunk in one (B, d) copy.
+    buffer.  Per chunk, one GEMM writes dL/dh_out(t) into the buffer
+    (the sweep's only such site; at t = 0 it reads dlogits last and frees
+    it), each step adds carry(t+1), zero past T, in one np.add and writes
+    carry(t) over its row, and the chunk's shares of A = W^T dW =
+    sum_t carry(t)^T h(t-1) and of dW_in = W (C^T X) (since dL/dpre(t) =
+    carry(t) W^T) are formed from it.  The carry of a chunk's first step
+    passes to the next chunk in one (B, d) copy.
     The first chunk's shares are A and dW_in and later ones are added
     to them, so a T*B that fits in one chunk runs the same GEMMs, and
     allocates the same arrays, as an unchunked sweep.
@@ -400,31 +404,20 @@ def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
     g_b_out = flat_dlogits.sum(axis=0)
     span = _span(steps, bsz)
     buf = np.empty((span, bsz, d))  # dL/dh_out(t), then carry(t) = dL/dpre(t) W
-    # the last chunk's dL/dh_out goes in before the scratch arrays below
-    # exist, so that a single chunk frees dlogits before they do
-    t0 = max(0, steps - span)
-    np.matmul(flat_dlogits[t0 * bsz:], params.w_out,
-              out=buf[:steps - t0].reshape(-1, d))
-    if t0 == 0:  # one chunk: dlogits is read for the last time
-        del dlogits, flat_dlogits
     b_mod = np.zeros((bsz, d))
     sgn = np.empty((bsz, d))
-    dh = np.empty((bsz, d))
+    dh = np.zeros((bsz, d))  # carry(T) = 0, then the carry into each chunk
     g_w_in = a = None  # the first chunk's products, then sums
     for t1 in range(steps, 0, -span):  # chunks [t0, t1), the last first
         t0 = max(0, t1 - span)
         chunk = buf[:t1 - t0]
-        if t1 < steps:
-            np.matmul(flat_dlogits[t0 * bsz:t1 * bsz], params.w_out,
-                      out=chunk.reshape(-1, d))
+        np.matmul(flat_dlogits[t0 * bsz:t1 * bsz], params.w_out,
+                  out=chunk.reshape(-1, d))
+        if t0 == 0:  # dlogits is read for the last time
+            del dlogits, flat_dlogits
         for t in range(t1 - 1, t0 - 1, -1):
-            i = t - t0
-            if t < t1 - 1:
-                np.add(chunk[i], chunk[i + 1], out=dh)
-            elif t1 < steps:
-                dh += chunk[i]    # dh holds carry(t1), from the later chunk
-            else:
-                dh[...] = chunk[i]
+            i = t - t0  # dh = dL/dh_out(t) + carry(t+1)
+            np.add(chunk[i], chunk[i + 1] if i + 1 < len(chunk) else dh, out=dh)
             np.sign(hidden[t], out=sgn)
             dh *= sgn             # dL/dpre * sign(pre) where active
             b_mod += dh

@@ -497,6 +497,8 @@ def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
     ["train", *TINY, "--offset", "inf"],
     [*CONV, "--noise_std", "nan"],
     ["train", *TINY, "--schedule", "cosine"],  # refused by optim.StepSchedule
+    ["train", *TINY, "--seed", "-1"],
+    ["train", *TINY, "--optimizer", "srgd", "--reorth_every", "-1"],
 ])
 def test_non_finite_values_exit_1_without_a_run_dir(args, tmp_path, monkeypatch):
     assert run_main(args, tmp_path, monkeypatch) == 1
@@ -523,7 +525,7 @@ def test_convergence_refuses_zero_iterations(tmp_path, monkeypatch):
 
 def test_bench_run(tmp_path, monkeypatch):
     args = ["bench", "--bench_dims", "8,16", "--bench_phase_d", "8",
-            "--bench_batch", "2", "--copy_len", "2", "--lag", "4"]
+            "--bench_batch", "2"]
     assert run_main(args, tmp_path, monkeypatch) == 0
     (rundir,) = (tmp_path / "runs").iterdir()
     rows = (rundir / "bench.csv").read_text().strip().split("\n")

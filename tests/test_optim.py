@@ -179,27 +179,6 @@ def test_select_block_gs_never_shares_columns():
     assert len(coords) <= d // 2
 
 
-def test_apply_block_disjoint_matches_sequential_and_expm():
-    rng = np.random.default_rng(3)
-    d = 8
-    w = random_w(d, seed=4)
-    coords = [mf.coord_index(1, 2, d), mf.coord_index(3, 7, d),
-              mf.coord_index(4, 6, d)]
-    thetas = [0.4, -1.1, 0.8]
-    got = optim.apply_block(w, coords, thetas)
-    seq = w.copy()
-    for i, t in zip(coords, thetas):
-        seq = mf.givens_update(seq, i, t)
-    assert np.allclose(got, seq, atol=1e-14)
-    # commuting rotations: the dense exponential route agrees
-    omega = sum(t * dense_basis(*mf.coord_pair(i, d), d)
-                for i, t in zip(coords, thetas))
-    assert np.allclose(got, w @ taylor_expm(omega), atol=1e-13)
-    with pytest.raises(ValueError):
-        optim.apply_block(w, [mf.coord_index(1, 2, d), mf.coord_index(2, 3, d)],
-                          [0.1, 0.2])
-
-
 # ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
@@ -314,10 +293,29 @@ def test_srcd_block_gs_applies_selected_block():
     w0 = state.w.copy()
     v = mf.all_partials(w0, grads.w)
     coords = optim.select_block_gs(v, rule.block_size(mf.num_coords(8)), 8)
-    want = optim.apply_block(w0, coords, [-0.01 * v[i - 1] for i in coords])
+    want = w0.copy()
+    for i in coords:
+        want = mf.givens_update(want, i, -0.01 * v[i - 1])
     optim.srcd_step(state, grads)
     assert state.last_coords == tuple(coords)
     assert np.allclose(state.w, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [8, 9, 64])
+def test_srcd_block_gs_step_is_the_exponential_of_its_block(d):
+    # the picks share no column, so their rotations commute: one step is
+    # W0 expm(sum_i -alpha v_i eta_i), here through the Taylor oracle
+    alpha = 0.3
+    rule = optim.SelectionRule("block_gs", block_fraction=0.5)
+    state = make_state(d=d, alpha=alpha, rule=rule)
+    grads = random_grads(state, seed=14 + d)
+    w0 = state.w.copy()
+    v = mf.all_partials(w0, grads.w)
+    optim.srcd_step(state, grads)
+    assert len(state.last_coords) == d // 2
+    omega = sum(-alpha * v[i - 1] * dense_basis(*mf.coord_pair(i, d), d)
+                for i in state.last_coords)
+    assert np.abs(state.w - w0 @ taylor_expm(omega)).max() <= 1e-13
 
 
 def test_srcd_requires_rule_and_rng():
@@ -463,7 +461,9 @@ def test_skew_picks_match_all_partials(d):
             coords = [select_gauss_southwell(v)]
         else:
             coords = optim.select_block_gs(v, rule.block_size(v.size), d)
-        want = optim.apply_block(w0, coords, [-alpha * v[i - 1] for i in coords])
+        want = w0.copy()
+        for i in coords:
+            want = mf.givens_update(want, i, -alpha * v[i - 1])
         for last, w in results:
             assert last == tuple(coords)
             assert np.array_equal(w, want)

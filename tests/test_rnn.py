@@ -732,3 +732,21 @@ def test_checkpoint_length_must_match_the_header(tmp_path, dims, tail):
     bad.write_bytes(header + body)
     with pytest.raises(ValueError, match="truncated|trailing bytes"):
         rnn.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_checkpoint_refuses_d_below_2(tmp_path, d):
+    d_in, d_out = 3, 2
+    params = rnn.RnnParams(w_in=np.zeros((d, d_in)), w=np.eye(d),
+                           w_out=np.zeros((d_out, d)), b_out=np.zeros(d_out),
+                           b_mod=np.zeros(d))
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        rnn.save_checkpoint(path, params)
+    assert not path.exists()
+    # by hand: a file exactly as long as its header lays out
+    blocks = (params.w_in, params.w, params.w_out, params.b_out, params.b_mod)
+    path.write_bytes(b"ORNNCKP\x00" + struct.pack("<BIIIQ", 1, d, d_in, d_out, 0)
+                     + b"".join(block.astype("<f8").tobytes() for block in blocks))
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        rnn.load_checkpoint(path)
