@@ -182,6 +182,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("iterations", "seed", "reorth_every"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0")
+    if cfg.seed >= 2**64:  # the checkpoint header stores it as a u64
+        raise ConfigError("seed must be < 2**64")
     if cfg.d < 2 or cfg.d % 2 != 0:
         raise ConfigError(f"d must be even and >= 2, got {cfg.d}")
     if cfg.conv_d < 2:

@@ -34,11 +34,11 @@ here guard one call's own input: `exp_map` rejects a non-tangent xi,
 `matrix_expm` a non-skew matrix and `reorthogonalize` a gross defect.
 
 Thread policy.  Every product of this module runs on numpy's one
-OpenBLAS pool; `matrix_expm` is numpy code too (scaling and squaring
-with a Pade approximant, Higham 2005), so the package loads no second
-BLAS, whose idle workers would spin and take CPUs from numpy's.  numpy's
-pool is held at one thread by `rnn` for the length of a small BPTT, and
-given back its count on return (`orthocd.blas.held_threads`).
+OpenBLAS pool; `matrix_expm` is numpy products too (scaling and squaring
+with a Taylor polynomial, no linear solve), so the package loads no
+second BLAS, whose idle workers would spin and take CPUs from numpy's.
+numpy's pool is held at one thread by `rnn` for the length of a small
+BPTT, and given back its count on return (`orthocd.blas.held_threads`).
 """
 
 from __future__ import annotations
@@ -244,89 +244,71 @@ def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 # exponential map and Givens shortcut
 # ---------------------------------------------------------------------------
 
-# Pade approximants r_m = q_m(A)^-1 p_m(A) of degree m for scaling and
-# squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), as
-# (m, theta_m, (b_0, ..., b_m)): theta_m bounds the ||A||_1 at which r_m
-# is exp to double precision, b_k are p_m's coefficients, q_m(A) = p_m(-A)
-_PADE_TABLE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                               25200.0, 1512.0, 56.0, 1.0)),
-    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
-                              302702400.0, 30270240.0, 2162160.0, 110880.0,
-                              3960.0, 90.0, 1.0)),
-    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                               7771770303897600.0, 1187353796428800.0,
-                               129060195264000.0, 10559470521600.0,
-                               670442572800.0, 33522128640.0, 1323241920.0,
-                               40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+# Taylor degrees m for scaling and squaring, as (m, theta_m, p): theta_m
+# is the largest double eta with eta^(m+1)/(m+1)! / (1 - eta/(m+2)) <=
+# 2^-53, a bound on the series' tail past degree m at ||S||_1 <= eta, and
+# N, ..., N^p are the powers of N = S S^T that degree m forms
+_TAYLOR = (
+    (3, 0.00022719587095773583, 1),
+    (5, 0.006562297263423305, 2),
+    (7, 0.0381185112040249, 3),
+    (9, 0.11483164143919657, 4),
+    (13, 0.4374476207831936, 3),
+    (17, 0.9783369874771111, 4),
 )
+# S^2k = (-1)^k N^k for skew S, so exp(S) = sum_k EVEN[k] N^k
+# + S sum_k ODD[k] N^k with EVEN[k] = (-1)^k/(2k)!, ODD[k] = (-1)^k/(2k+1)!,
+# truncated at degree m by k <= m // 2 (8 at the top degree 17)
+_EVEN = tuple((-1) ** k / math.factorial(2 * k) for k in range(9))
+_ODD = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(9))
 
 
-def _signed(coeffs: tuple) -> tuple:
-    """(c_0, c_1, ...) -> (c_0, -c_1, c_2, ...)."""
-    return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
-
-
-# (m, theta_m, even, odd): with N = S S^T = -S^2 for skew S, S^2k is
-# (-1)^k N^k, so p_m(S) = sum_k even[k] N^k + S sum_k odd[k] N^k with
-# even[k] = (-1)^k b_2k and odd[k] = (-1)^k b_2k+1
-_PADE = tuple((m, theta, _signed(b[0::2]), _signed(b[1::2]))
-              for m, theta, b in _PADE_TABLE)
-
-
-def _comb(coeffs, powers: list[np.ndarray]) -> np.ndarray:
-    """sum_k coeffs[k] powers[k] over the shorter of the two, fresh."""
-    out = coeffs[0] * powers[0]
-    for c, p in zip(coeffs[1:], powers[1:]):
-        out += c * p
-    return out
-
-
-def _add_eye(x: np.ndarray, c: float) -> np.ndarray:
-    """x + c I, in place on the diagonal."""
-    x.reshape(-1)[:: x.shape[0] + 1] += c
-    return x
+def _poly(c: tuple, powers: list[np.ndarray]) -> np.ndarray:
+    """sum_k c[k] N^k from powers = [N, ..., N^p] by Paterson-Stockmeyer:
+    Horner in N^p over blocks of p coefficients, the top block running
+    up to N^p itself, so a degree of at most 2p takes one product."""
+    p = len(powers)
+    acc = None
+    for j in range((len(c) - 2) // p * p, -1, -p):
+        if acc is None:
+            acc = c[j + 1] * powers[0]
+            terms = zip(c[j + 2:], powers[1:])
+        else:
+            acc = powers[-1] @ acc
+            terms = zip(c[j + 1:j + p], powers)
+        for coeff, power in terms:
+            acc += coeff * power
+        acc.reshape(-1)[:: acc.shape[0] + 1] += c[j]
+    return acc
 
 
 def _expm_skew(s: np.ndarray) -> np.ndarray:
-    """expm(S) for an exactly skew S: the smallest degree m in 3, 5, 7, 9
-    whose theta_m bounds ||S||_1, else degree 13 on S / 2^j with j the
-    fewest halvings to theta_13, squared j times.  Numpy products only,
-    so all of it runs on numpy's BLAS.
+    """expm(S) for an exactly skew S by its Taylor polynomial of degree
+    m: the smallest m in _TAYLOR whose theta_m bounds ||S||_1, else
+    degree 17 on S / 2^j with j the fewest halvings to theta_17, squared
+    j times.  No linear solve: every step is a numpy product, so all of
+    it runs on numpy's BLAS.
 
-    Skew S makes the even part V of p_m(S) symmetric and the odd part U
-    skew, so q_m(S) = V - U = q and p_m(S) = q^T: the approximant is one
-    solve(q, q^T).  N = S S^T and N^2 = N N^T are Gram products (SYRK).
+    The even part is a polynomial in the Gram product N = S S^T, and
+    N^2k = N^k (N^k)^T, so each even power is a SYRK and each odd one a
+    GEMM; with both parts evaluated, S times the odd part is the last
+    product (m = 3: N and that product; m = 7: N, N^2, N^3 and it).
     A non-finite S gives NaN throughout."""
     norm = float(np.abs(s).sum(axis=0).max(initial=0.0))
-    for m, theta, even, odd in _PADE:
+    squarings = 0
+    for m, theta, p in _TAYLOR:
         if norm <= theta:
             break
-    squarings = 0
-    if m == 13:
+    else:
         if not math.isfinite(norm):
             return np.full_like(s, np.nan)
-        squarings = max(0, math.ceil(math.log2(norm / theta)))
+        squarings = math.ceil(math.log2(norm / theta))
         s = s * 2.0 ** -squarings
-    n = s @ s.T
-    powers = [n]
-    if m > 3:
-        powers.append(n @ n.T)
-    if m > 5:
-        powers.append(powers[1] @ n)
-    if m == 9:
-        powers.append(powers[1] @ powers[1].T)
-    if m < 13:
-        u, q = _comb(odd[1:], powers), _comb(even[1:], powers)
-    else:  # N^3 (c_4 N + c_5 N^2 + c_6 N^3) + c_1 N + c_2 N^2 + c_3 N^3
-        u = powers[2] @ _comb(odd[4:], powers) + _comb(odd[1:4], powers)
-        q = powers[2] @ _comb(even[4:], powers) + _comb(even[1:4], powers)
-    u = s @ _add_eye(u, odd[0])
-    q = _add_eye(q, even[0])
-    q -= u
-    r = np.linalg.solve(q, q.T)
+    powers = [s @ s.T]
+    for k in range(2, p + 1):  # N^k = N^(k//2) (N^(k - k//2))^T
+        powers.append(powers[k // 2 - 1] @ powers[k - k // 2 - 1].T)
+    r = _poly(_EVEN[:m // 2 + 1], powers)
+    r += s @ _poly(_ODD[:m // 2 + 1], powers)
     for _ in range(squarings):
         r = r @ r
     return r
@@ -346,8 +328,10 @@ def matrix_expm(a: np.ndarray) -> np.ndarray:
 
     Rejects inputs whose symmetric part exceeds SKEW_TOL in Frobenius
     norm, then exponentiates the exactly skew (A - A^T)/2 by scaling
-    and squaring with a Pade approximant (`_expm_skew`); the test suite
-    validates it against an independent truncated-Taylor oracle.
+    and squaring with a Taylor polynomial of degree at most 17, matrix
+    products only (`_expm_skew`); the test suite validates it against
+    an independent truncated-Taylor oracle that neither scales nor
+    squares.
     """
     defect, s = _skew_part(_check_square(a))
     if defect > SKEW_TOL:
@@ -360,8 +344,8 @@ def exp_map(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Tangency of `xi` at W is validated: a defect above
     SKEW_TOL * max(1, ||xi||) raises.  That check is stricter than
-    `matrix_expm`'s, so the exactly skew part of W^T xi goes to the Pade
-    core directly.
+    `matrix_expm`'s, so the exactly skew part of W^T xi goes to the
+    Taylor core (`_expm_skew`) directly.
     """
     w = _check_square(w)
     xi = np.asarray(xi, dtype=np.float64)

@@ -345,10 +345,11 @@ def _block_gs_flops(d: int) -> int:
 
 # W-path costs given G alone: partial derivative 4d (two column dot
 # products), Givens rotation 6d, S 2d^3 (W^T G) + d^2 (argmax |S| or the
-# triangle), dense step 4d^3 (W^T G, W expm(.)) plus Pade-13 expm ~13
-# matmuls 26d^3.  The dense count is frozen at degree 13; a small step
-# (||alpha S||_1 <= 0.25) takes degree 3 or 5 in `manifold.matrix_expm`,
-# 2-3 products and one solve, so it pays well under 30d^3
+# triangle), dense step 4d^3 (W^T G, W expm(.)) plus an expm of 13
+# matmuls 26d^3, frozen.  `manifold.matrix_expm` takes 7 products at its
+# top Taylor degree 17 and one per squaring past it; a small step
+# (||alpha S||_1 <= 0.11) takes degree 5, 7 or 9, 3-5 products and no
+# solve, so 30d^3 over-prices it
 OPTIMIZERS: dict[str, Optimizer] = {
     "srgd": Optimizer(None, srgd_step, lambda d: 30 * d**3),
     "srcd-u": Optimizer("uniform", srcd_step, lambda d: 10 * d),

@@ -180,6 +180,14 @@ def test_train_writes_artifacts(tmp_path, monkeypatch):
     assert cfg.d == 8 and cfg.seed == 3 and cfg.iterations == 6
 
 
+def test_train_at_the_largest_seed_round_trips_its_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_main(["train", *TINY, "--iterations", "1", "--seed", str(2**64 - 1),
+                     "--out", str(out)], tmp_path, monkeypatch) == 0
+    params, seed = rnn.load_checkpoint(out / "checkpoint.bin")
+    assert seed == 2**64 - 1 and params.d == 8
+
+
 def test_train_eval_matches_forward(tmp_path, monkeypatch):
     # the eval in summary.json is the trained network's forward pass on
     # the [seed, 3] batch
@@ -498,6 +506,7 @@ def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
     [*CONV, "--noise_std", "nan"],
     ["train", *TINY, "--schedule", "cosine"],  # refused by optim.StepSchedule
     ["train", *TINY, "--seed", "-1"],
+    ["train", *TINY, "--seed", str(2**64)],  # past the checkpoint's u64
     ["train", *TINY, "--optimizer", "srgd", "--reorth_every", "-1"],
 ])
 def test_non_finite_values_exit_1_without_a_run_dir(args, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -203,26 +204,50 @@ def test_matrix_expm_rejects_non_skew():
         mf.matrix_expm(np.eye(3))
 
 
-# ||S||_1 / theta_m for each Pade degree: just inside m = 3, 5, 7, 9, 13,
-# then past theta_13, one squaring and two
-_PADE_CASES = [(m, 0.9) for m, *_ in mf._PADE] + [(13, 1.1), (13, 2.5)]
+# theta_m of the Pade degrees m = 3, 5, 7, 9, 13 that matrix_expm once used
+# (Higham 2005); their norms stay cases of the test below
+_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068e0, 5.371920351148152e0)
+# ||S||_1 just inside theta_m of every Taylor rung, then past the top rung
+# with one squaring and with two; then 0.9 theta_m of each Pade degree and
+# 1.1 and 2.5 theta_13 (13.4)
+_TOP_THETA = mf._TAYLOR[-1][1]
+_EXPM_NORMS = ([0.99 * theta for _, theta, _ in mf._TAYLOR]
+               + [1.9 * _TOP_THETA, 3.9 * _TOP_THETA]
+               + [0.9 * theta for theta in _PADE_THETA]
+               + [1.1 * _PADE_THETA[-1], 2.5 * _PADE_THETA[-1]])
 
 
 @pytest.mark.parametrize("d", [2, 25, 64, 190])
 def test_matrix_expm_every_pade_branch_matches_taylor(d):
+    # named for the Pade branches whose norms it keeps; it walks every
+    # Taylor rung and the squarings past the top one
     rng = np.random.default_rng(d)
     a = rng.standard_normal((d, d))
     unit = (a - a.T) / 2.0
     unit /= np.abs(unit).sum(axis=0).max()
-    theta = {m: th for m, th, *_ in mf._PADE}
-    for m, ratio in _PADE_CASES:
-        if d == 2 and ratio > 2:
+    for norm in _EXPM_NORMS:
+        if d == 2 and norm > 10:
             continue  # the oracle's rounding grows with ||S||_2, here ||S||_1
-        s = ratio * theta[m] * unit
+        s = norm * unit
         got = mf.matrix_expm(s)
         want = taylor_expm(s, terms=60)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (m, ratio)
-        assert mf.orthogonality_defect(got) <= 1e-13, (m, ratio)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), norm
+        assert mf.orthogonality_defect(got) <= 1e-13, norm
+
+
+def test_taylor_thetas_are_the_largest_within_the_remainder_bound():
+    # theta_m is the largest double eta with
+    # eta^(m+1)/(m+1)! / (1 - eta/(m+2)) <= 2^-53, in exact arithmetic
+    def tail(m, eta):
+        eta = Fraction(eta)
+        return eta ** (m + 1) / math.factorial(m + 1) / (1 - eta / (m + 2))
+
+    degrees = [m for m, _, _ in mf._TAYLOR]
+    assert degrees == sorted(degrees) and degrees[-1] >= 17
+    for m, theta, _ in mf._TAYLOR:
+        assert theta < m + 2
+        assert tail(m, theta) <= Fraction(1, 2**53) < tail(m, math.nextafter(theta, math.inf))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 16, 190, 600])

@@ -482,6 +482,24 @@ def test_srgd_skew_bundle_is_bitwise_the_dense_formula():
         assert np.array_equal(state.w, want)
 
 
+def test_dense_step_makes_no_linear_solve(monkeypatch):
+    # matrix_expm is products only, at every Taylor rung and past the top
+    # one, and so is the srgd step through it
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear solve in the dense step")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    a = np.random.default_rng(9).standard_normal((12, 12))
+    unit = (a - a.T) / np.abs(a - a.T).sum(axis=0).max()
+    for norm in [0.99 * theta for _, theta, _ in mf._TAYLOR] + [3.9]:
+        assert mf.orthogonality_defect(mf.matrix_expm(norm * unit)) <= 1e-13
+    for alpha in (1e-4, 0.5):
+        state = make_state(d=12, alpha=alpha)
+        optim.srgd_step(state, random_grads(state, seed=3))
+        assert mf.orthogonality_defect(state.w) <= 1e-13
+
+
 @pytest.mark.parametrize("kind", ["gauss_southwell", "block_gs"])
 def test_skew_picks_ties_and_zero_gradient(kind):
     # W = I makes S = G - G^T; exact ties go to the smallest coordinate
