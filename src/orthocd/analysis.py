@@ -204,7 +204,9 @@ def bench_update(
     small BPTT runs with numpy's OpenBLAS at one thread and gives the
     count back; expm runs on that same pool at the count in force), and
     the counts in force go to run_meta.json.  Setup and allocation stay
-    outside the timed region, and the same W is reused across reps
+    outside the timed region: a backward_update cell keeps one
+    `rnn.Workspace` across reps, as `train` does, so BPTT's (T, B, d)
+    buffers are allocated in warmup.  The same W is reused across reps
     (fresh-W-per-rep would time initialization, not the update).  The
     flops field is the optimizer's analytic W-path count, not measured,
     and it prices a step handed G on both phases.  A backward_update
@@ -243,9 +245,10 @@ def bench_update(
     else:
         data = copytask.generate_batch(task, rng)
         x1h = copytask.one_hot(data.inputs, task.n_input_classes)
+        work = rnn.Workspace()
         def timed_once() -> float:
             t0 = time.perf_counter()
-            _, grads = rnn.backward(params, x1h, data.targets, data.mask)
+            _, grads = rnn.backward(params, x1h, data.targets, data.mask, work)
             if optimizer == "sgd":
                 pack = optim.GradPack(w=state.w @ grads.a, x=grads.x_blocks())
             else:

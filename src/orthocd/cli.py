@@ -351,7 +351,8 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     Seed derivation keeps the batch stream identical across optimizer
     choices (common random numbers for the ordering comparisons):
     initialization uses `seed`, batches use stream [seed, 1], coordinate
-    selection [seed, 2].
+    selection [seed, 2].  One `rnn.Workspace` serves every iteration's
+    BPTT; it is dropped on return, before the caller's eval pass.
     """
     task = _task_from(cfg)
     params = rnn.init_params(cfg.d, task.n_input_classes, task.n_output_classes,
@@ -366,11 +367,12 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     losses = np.empty(cfg.iterations)
     alphas = np.empty(cfg.iterations)
     gnormsq = np.empty(cfg.iterations)
+    work = rnn.Workspace()
     t0 = time.perf_counter()
     for k in range(cfg.iterations):
         data = copytask.generate_batch(task, batch_rng, mask_mode=cfg.mask)
         x1h = copytask.one_hot(data.inputs, task.n_input_classes)
-        value, grads = rnn.backward(params, x1h, data.targets, data.mask)
+        value, grads = rnn.backward(params, x1h, data.targets, data.mask, work)
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
         # S = A - A^T with A = W^T G from BPTT, O(d^2); making the bundle

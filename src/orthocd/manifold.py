@@ -79,10 +79,13 @@ SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see antisym
 # ---------------------------------------------------------------------------
 
 def orthogonality_defect(w: np.ndarray) -> float:
-    """Frobenius norm of W^T W - I."""
-    w = np.asarray(w, dtype=np.float64)
-    d = w.shape[0]
-    return float(np.linalg.norm(w.T @ w - np.eye(d)))
+    """Frobenius norm of W^T W - I, with I subtracted in place on the
+    diagonal of W^T W (no d x d identity); x - 0.0 is x, so the result
+    is bitwise that of W^T W - np.eye(d)."""
+    w = _check_square(w)
+    gram = w.T @ w
+    gram.flat[::w.shape[0] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
 
 
 def _check_square(w: np.ndarray) -> np.ndarray:

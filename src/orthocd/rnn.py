@@ -28,7 +28,18 @@ beside its (T, B, d_out) result it keeps no (T, B, .) array.
 `backward` stores the hidden states and logits of the forward pass
 and a fixed chunk of CHUNK_ROWS rows for its reverse sweep, so its
 memory peak is about one (T, B, d) float64 array plus that chunk, two
-such arrays when T*B fits in one chunk.
+such arrays when T*B fits in one chunk.  Those two come from a
+`Workspace`, which the caller owns: `train` makes one per run, every
+iteration's `backward` reuses it, and it is dropped when the loop
+ends, before the eval pass, so the peak does not grow.  `forward` and
+`logits` always make a throwaway workspace, and so does `backward`
+when it is handed none (the one-off probes of `sparsity`).  Fresh
+arrays cost page faults: at the desk preset each is 1.8 MB, which
+glibc serves with a new mmap and unmaps on free, so the kernel mapped
+their pages in again on every iteration, 38,043 minor faults per
+40-iteration `train` command against 1,139 with the workspace (warm
+process, `ru_minflt`).  mallopt or GLIBC_TUNABLES could keep the pages
+mapped too, but they act on the whole process and on glibc alone.
 `loss` and `backward` share one softmax cross-entropy.  All math is in float64 and every function here is
 deterministic, so a fixed seed reproduces runs bitwise at fixed BLAS
 thread counts: a product large enough to keep its threads may round
@@ -73,6 +84,7 @@ __all__ = [
     "ForwardTrace",
     "Grads",
     "RnnParams",
+    "Workspace",
     "backward",
     "cayley_block_init",
     "forward",
@@ -169,6 +181,24 @@ class Grads:
                 "b_out": self.b_out, "b_mod": self.b_mod}
 
 
+class Workspace:
+    """Named float64 buffers that `backward` reuses across calls, the
+    hidden states (`hidden`) and the sweep's chunk (`chunk`), each
+    reallocated only when the shape asked for changes and written
+    before it is read.  Its maker owns it: see the module docstring."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The buffer `name`, uninitialised, of the given shape."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.shape != shape:
+            self.buffers.pop(name, None)  # freed before its successor is made
+            buf = self.buffers[name] = np.empty(shape)
+        return buf
+
+
 def modrelu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sign(x) * max(|x| + b, 0), with 0 at x = 0 (sign(0) = 0)."""
     return np.sign(x) * np.maximum(np.abs(x) + b, 0.0)
@@ -199,7 +229,8 @@ def _span(steps: int, bsz: int) -> int:
 def _recur(
     params: RnnParams,
     inputs: np.ndarray,
-    keep_hidden: bool = True,
+    keep_hidden: bool,
+    work: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence, time-major, from h(-1) = 0, and its logits.
 
@@ -212,14 +243,15 @@ def _recur(
     matmul, one product per step, writes the chunk's logits while its
     states are in cache.  b_out is added once.  Without `keep_hidden`,
     one (span, B, d) buffer serves every chunk and is what `hidden`
-    returns; the scratch carries h into the next chunk.
+    returns; the scratch carries h into the next chunk.  `hidden` is
+    `work`'s buffer of that name; the logits are always fresh.
     """
     bsz, steps, d_in = inputs.shape
     if d_in != params.d_in:
         raise ValueError(f"input feature dim {d_in} != params d_in {params.d_in}")
     d = params.d
     span = _span(steps, bsz)
-    hidden = np.empty((steps if keep_hidden else span, bsz, d))
+    hidden = work.take("hidden", (steps if keep_hidden else span, bsz, d))
     out = np.empty((steps, bsz, params.d_out))
     w_t, w_in_t, w_out_t = params.w.T, params.w_in.T, params.w_out.T
     b_mod = np.empty((bsz, d))  # adding a (B, d) array is ~2x faster than a (d,) one
@@ -258,7 +290,7 @@ def _evaluate(
     inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
     with _thread_policy(params, bsz, steps):
-        return _recur(params, inputs, keep_hidden)
+        return _recur(params, inputs, keep_hidden, Workspace())
 
 
 def forward(params: RnnParams, inputs: np.ndarray) -> ForwardTrace:
@@ -356,6 +388,7 @@ def backward(
     inputs: np.ndarray,
     targets: np.ndarray,
     mask: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> tuple[float, Grads]:
     """Forward pass from h(-1) = 0 plus exact reverse-mode accumulation
     through time, over batch-first inputs (B, T, d_in) with (B, T)
@@ -380,18 +413,24 @@ def backward(
     The first chunk's shares are A and dW_in and later ones are added
     to them, so a T*B that fits in one chunk runs the same GEMMs, and
     allocates the same arrays, as an unchunked sweep.
+
+    The hidden states and the chunk buffer come from `work`, a
+    `Workspace` the caller keeps across calls; None makes a throwaway
+    one, so the call allocates both afresh.  Every returned array is
+    fresh either way: none shares memory with the workspace.
     """
     inputs = _as_batched(inputs, "inputs", "d_in")
     bsz, steps, _ = inputs.shape
     with _thread_policy(params, bsz, steps):
-        return _backward(params, inputs, targets, mask)
+        return _backward(params, inputs, targets, mask,
+                         Workspace() if work is None else work)
 
 
-def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
+def _backward(params, inputs, targets, mask, work) -> tuple[float, Grads]:
     bsz, steps, _ = inputs.shape
     targets = _check_targets(targets, (bsz, steps), params.d_out)
     mask = _resolve_mask(mask, (bsz, steps))
-    hidden, logits = _recur(params, inputs)
+    hidden, logits = _recur(params, inputs, True, work)
     # the loss over (B, T) views, so its summation order is batch-first
     value, dlogits = _loss_and_dlogits(logits.transpose(1, 0, 2), targets, mask)
     del logits
@@ -403,7 +442,7 @@ def _backward(params, inputs, targets, mask) -> tuple[float, Grads]:
     g_w_out = flat_dlogits.T @ hidden.reshape(rows, d)
     g_b_out = flat_dlogits.sum(axis=0)
     span = _span(steps, bsz)
-    buf = np.empty((span, bsz, d))  # dL/dh_out(t), then carry(t) = dL/dpre(t) W
+    buf = work.take("chunk", (span, bsz, d))  # dL/dh_out(t), then carry(t) = dL/dpre(t) W
     b_mod = np.zeros((bsz, d))
     sgn = np.empty((bsz, d))
     dh = np.zeros((bsz, d))  # carry(T) = 0, then the carry into each chunk

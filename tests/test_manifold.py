@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -398,6 +399,39 @@ def test_givens_long_product_stays_orthogonal():
         mf.givens_update(w, int(rng.integers(1, n + 1)),
                          float(rng.uniform(-1.5, 1.5)), out=w)
     assert mf.orthogonality_defect(w) <= 1e-12
+
+
+def test_orthogonality_defect_is_bitwise_the_eye_form():
+    # the identity is subtracted in place on the diagonal; off it the
+    # eye form subtracts 0.0, which changes no bit
+    rng = np.random.default_rng(31)
+    cases = [np.eye(1), np.zeros((3, 3)), -np.eye(4), np.arange(9.0).reshape(3, 3),
+             np.arange(16).reshape(4, 4), np.asfortranarray(random_w(12, seed=32)),
+             np.full((5, 5), np.nan), np.where(np.eye(6) > 0, -0.0, 0.0)]
+    for d in (2, 7, 64, 190):
+        q = mf.random_orthogonal(d, rng)
+        cases += [q, q + 1e-9 * rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d))]
+    for w in cases:
+        want = np.asarray(w, dtype=np.float64)
+        want = float(np.linalg.norm(want.T @ want - np.eye(len(w))))
+        got = mf.orthogonality_defect(w)
+        assert got == want or (math.isnan(got) and math.isnan(want)), w.shape
+    with pytest.raises(ValueError, match="square"):
+        mf.orthogonality_defect(np.ones((3, 4)))
+
+
+def test_orthogonality_defect_makes_no_identity():
+    # one d x d array, W^T W; the eye form made three
+    d = 256
+    w = random_w(d, seed=33)
+    tracemalloc.start()
+    try:
+        mf.orthogonality_defect(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * d * d * 8
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,89 @@ def test_backward_one_chunk_allocates_no_extra_square():
     assert _backward_peak_over_trace(256, 8, 20) <= 4.0
 
 
+_GRAD_FIELDS = ("w_in", "a", "w_out", "b_out", "b_mod")
+
+
+def _one_hot_batch(rng, bsz, steps, d_in, d_out):
+    inputs = np.eye(d_in)[rng.integers(0, d_in, (bsz, steps))]
+    return inputs, rng.integers(0, d_out, (bsz, steps)), rng.random((bsz, steps)) < 0.6
+
+
+@pytest.mark.parametrize("bsz, steps", [
+    (16, 30),    # T*B fits in one chunk
+    (16, 300),   # T*B > CHUNK_ROWS: the sweep runs in chunks, the last ragged
+])
+def test_workspace_reuse_is_bitwise_and_alias_free(bsz, steps):
+    # each call writes every workspace entry before reading it, so a
+    # reused workspace holding the last call's states changes no bit
+    assert (bsz * steps > rnn.CHUNK_ROWS) == (steps == 300)
+    rng = np.random.default_rng(40)
+    params = make_params(d=8, d_in=5, d_out=4, seed=41)
+    work = rnn.Workspace()
+    for _ in range(3):
+        inputs, targets, mask = _one_hot_batch(rng, bsz, steps, 5, 4)
+        value, grads = rnn.backward(params, inputs, targets, mask, work)
+        fresh_value, fresh = rnn.backward(params, inputs, targets, mask)
+        assert value == fresh_value
+        for name in _GRAD_FIELDS:
+            got = getattr(grads, name)
+            assert np.array_equal(got, getattr(fresh, name)), name
+            for key, buf in work.buffers.items():
+                assert not np.shares_memory(got, buf), (name, key)
+    assert sorted(work.buffers) == ["chunk", "hidden"]
+    assert work.buffers["hidden"].shape == (steps, bsz, 8)
+
+
+def test_workspace_reallocates_when_a_shape_changes():
+    rng = np.random.default_rng(42)
+    params = make_params(d=8, d_in=5, d_out=4, seed=43)
+    work = rnn.Workspace()
+
+    def call(bsz, steps):
+        batch = _one_hot_batch(rng, bsz, steps, 5, 4)
+        value, grads = rnn.backward(params, *batch, work=work)
+        fresh_value, fresh = rnn.backward(params, *batch)
+        assert value == fresh_value
+        assert all(np.array_equal(getattr(grads, n), getattr(fresh, n))
+                   for n in _GRAD_FIELDS)
+        return dict(work.buffers)
+
+    first = call(4, 10)
+    same = call(4, 10)
+    assert all(same[k] is first[k] for k in first)
+    longer = call(4, 12)  # T changes: both, as T*B fits in one chunk
+    assert all(longer[k] is not same[k] for k in same)
+    wider = call(6, 12)   # B changes
+    assert all(wider[k] is not longer[k] for k in longer)
+    assert wider["hidden"].shape == wider["chunk"].shape == (12, 6, 8)
+
+
+def test_backward_workspace_reuse_allocates_no_trace_sized_buffer():
+    # a second call with one workspace allocates neither the hidden
+    # states nor the chunk buffer (one chunk here, as large as the
+    # states), so its peak is below a fresh-workspace call's by about
+    # two (T, B, d) float64 arrays: 1.93x at this shape, where the
+    # reused call's peak, the loss arrays and the input copies, is 0.36x
+    d, bsz, steps = 128, 16, 60
+    assert steps * bsz <= rnn.CHUNK_ROWS
+    params = rnn.init_params(d, 11, 10, seed=44)
+    batch = _one_hot_batch(np.random.default_rng(45), bsz, steps, 11, 10)
+
+    def peak(work):
+        tracemalloc.start()
+        try:
+            rnn.backward(params, *batch, work=work)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rnn.backward(params, *batch)  # first-call allocations
+    fresh = peak(None)
+    work = rnn.Workspace()
+    rnn.backward(params, *batch, work=work)
+    assert fresh - peak(work) >= 1.8 * steps * bsz * d * 8
+
+
 def test_backward_checks_shapes_before_the_recurrence(monkeypatch):
     rng = np.random.default_rng(28)
     params = make_params(seed=29)
