@@ -163,7 +163,6 @@ class BenchRecord:
     median_s: float
     iqr_s: float
     mean_s: float
-    flops: int
     reps: int
 
 
@@ -175,7 +174,7 @@ BENCH_MIN_WARMUP = 5
 # the training optimizers plus one bench-only baseline: a Euclidean
 # step whose W leaves O(d), so it is never trained and has no W geometry
 _BENCHED: dict[str, optim.Optimizer] = {
-    "sgd": optim.Optimizer(None, optim.sgd_step, lambda d: 0),
+    "sgd": optim.Optimizer(None, optim.sgd_step),
     **optim.OPTIMIZERS,
 }
 BENCH_OPTIMIZERS = tuple(_BENCHED)
@@ -202,18 +201,12 @@ def bench_update(
     A = W^T G, or, to the `sgd` baseline, which needs it, G = W A.  No
     thread limit is added: each step takes the package's own hold (a
     small BPTT runs with numpy's OpenBLAS at one thread and gives the
-    count back; expm runs on that same pool at the count in force), and
-    the counts in force go to run_meta.json.  Setup and allocation stay
-    outside the timed region: a backward_update cell keeps one
-    `rnn.Workspace` across reps, as `train` does, so BPTT's (T, B, d)
-    buffers are allocated in warmup.  The same W is reused across reps
-    (fresh-W-per-rep would time initialization, not the update).  The
-    flops field is the optimizer's analytic W-path count, not measured,
-    and it prices a step handed G on both phases.  A backward_update
-    cell hands S, so its count includes work that cell does not pay:
-    the 2d^3 W^T G that forms S, or for srcd-u the 4d two-column
-    partial that S gives in O(1).  Pricing S would need a second cost
-    per optimizer.
+    count back; expm runs on that same pool at the count in force).
+    Setup and allocation stay outside the timed region: a
+    backward_update call keeps one `rnn.Workspace` across reps, as
+    `train` does, so BPTT's (T, B, d) buffers are allocated in warmup.
+    The same W is reused across reps (fresh-W-per-rep would time
+    initialization, not the update).
     """
     entry = _BENCHED.get(optimizer)
     if entry is None:
@@ -264,8 +257,7 @@ def bench_update(
     q25, q50, q75 = np.percentile(times, [25, 50, 75])
     return BenchRecord(d=d, optimizer=optimizer, phase=phase,
                        median_s=float(q50), iqr_s=float(q75 - q25),
-                       mean_s=float(times.mean()), flops=entry.w_flops(d),
-                       reps=reps)
+                       mean_s=float(times.mean()), reps=reps)
 
 
 def loglog_slope(dims, times) -> float:

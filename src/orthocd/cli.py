@@ -1,6 +1,6 @@
 """Experiment runner.
 
-Subcommands: train, sparsity, convergence, bench.  Every run is driven
+Subcommands: train, sparsity, convergence.  Every run is driven
 by a flat key = value config (INI sections group related keys; key
 names are globally unique) and any key can be overridden by a
 command-line flag of the same name, e.g. `--alpha0 1e-3`.  The
@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__, analysis, blas, copytask, manifold, optim, rnn
 
 __all__ = ["ExperimentConfig", "ConfigError", "main", "parse_config",
-           "cmd_train", "cmd_sparsity", "cmd_convergence", "cmd_bench",
+           "cmd_train", "cmd_sparsity", "cmd_convergence",
            "run_training", "run_convergence"]
 
 
@@ -87,12 +87,6 @@ class ExperimentConfig:
     noise_std: float = 0.1
     conv_seeds: int = 5
     x_dim: int = 4
-    # [bench]
-    bench_dims: str = "64,256,1024"
-    bench_phase_d: int = 190
-    bench_reps: int = 30
-    bench_warmup: int = 5
-    bench_batch: int = 32
 
 
 _SECTIONS = {
@@ -101,8 +95,6 @@ _SECTIONS = {
     "schedule": ("schedule", "alpha0", "power", "offset", "robbins_monro"),
     "run": ("iterations", "seed", "out"),
     "convergence": ("conv_d", "noise_std", "conv_seeds", "x_dim"),
-    "bench": ("bench_dims", "bench_phase_d", "bench_reps", "bench_warmup",
-              "bench_batch"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -188,7 +180,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"d must be even and >= 2, got {cfg.d}")
     if cfg.conv_d < 2:
         raise ConfigError("conv_d must be >= 2")
-    for key in ("conv_seeds", "x_dim", "bench_batch"):
+    for key in ("conv_seeds", "x_dim"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     if not (cfg.noise_std >= 0 and math.isfinite(cfg.noise_std)):
@@ -199,27 +191,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        dims = _bench_dims(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"bad bench_dims: {cfg.bench_dims!r}") from exc
-    if min([*dims, cfg.bench_phase_d]) < analysis.BENCH_MIN_D:
-        raise ConfigError(
-            f"bench_dims and bench_phase_d must be >= {analysis.BENCH_MIN_D}")
-    if cfg.bench_reps < analysis.BENCH_MIN_REPS \
-            or cfg.bench_warmup < analysis.BENCH_MIN_WARMUP:
-        raise ConfigError(f"bench_reps must be >= {analysis.BENCH_MIN_REPS} "
-                          f"and bench_warmup >= {analysis.BENCH_MIN_WARMUP}")
 
 
 def _schedule_from(cfg: ExperimentConfig) -> optim.StepSchedule:
     return optim.StepSchedule(kind=cfg.schedule, alpha0=cfg.alpha0,
                               power=cfg.power, offset=cfg.offset,
                               robbins_monro=cfg.robbins_monro)
-
-
-def _bench_dims(cfg: ExperimentConfig) -> list[int]:
-    return [int(tok) for tok in cfg.bench_dims.split(",") if tok.strip()]
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -530,49 +507,6 @@ def cmd_convergence(cfg: ExperimentConfig, rundir: RunDir) -> None:
     rundir.write_json("summary.json", summary)
 
 
-def cmd_bench(cfg: ExperimentConfig, rundir: RunDir) -> None:
-    dims = _bench_dims(cfg)
-    scaling = ("srcd-u", "srgd")  # update cells across bench_dims
-    phased = ("sgd", "srgd", "srcd-gs", "srcd-u")  # both phases at bench_phase_d
-    cells: dict[tuple, analysis.BenchRecord] = {}
-
-    def _run(kind: str, d: int, phase: str) -> None:
-        key = (kind, d, phase)
-        if key not in cells:
-            cells[key] = analysis.bench_update(
-                kind, d, reps=cfg.bench_reps, warmup=cfg.bench_warmup,
-                phase=phase, batch=cfg.bench_batch, seed=cfg.seed)
-
-    for d in dims:
-        for kind in scaling:
-            _run(kind, d, "update")
-    for kind in phased:
-        for phase in ("update", "backward_update"):
-            _run(kind, cfg.bench_phase_d, phase)
-    records = list(cells.values())
-    rundir.write_csv(
-        "bench.csv",
-        ["d", "optimizer", "phase", "median_s", "iqr_s", "flops", "mean_s", "reps"],
-        ((r.d, r.optimizer, r.phase, r.median_s, r.iqr_s, r.flops, r.mean_s,
-          r.reps) for r in records))
-    slopes = {}
-    if len(dims) >= 2:
-        for kind in scaling:
-            med = [cells[(kind, d, "update")].median_s for d in dims]
-            slopes[kind] = analysis.loglog_slope(dims, med)
-    ratios = {}
-    for kind in phased:
-        upd = cells.get((kind, cfg.bench_phase_d, "update"))
-        bwd = cells.get((kind, cfg.bench_phase_d, "backward_update"))
-        if upd and bwd:
-            ratios[kind] = upd.median_s / bwd.median_s
-    rundir.write_json("summary.json", {
-        "dims": dims,
-        "loglog_slopes_update": slopes,
-        "update_over_backward_update": ratios,
-    })
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -588,8 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in (
             ("train", "train the RNN on the copying task"),
             ("sparsity", "gradient-sparsity snapshots at init and after training"),
-            ("convergence", "SRCD-U on the synthetic problem, averaged gradient norms"),
-            ("bench", "wall-clock cost of the update kernels")):
+            ("convergence", "SRCD-U on the synthetic problem, averaged gradient norms")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="INI config file")
@@ -642,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         rundir = RunDir(args.command, cfg)
         t0 = time.perf_counter()
         {"train": cmd_train, "sparsity": cmd_sparsity,
-         "convergence": cmd_convergence, "bench": cmd_bench}[args.command](cfg, rundir)
+         "convergence": cmd_convergence}[args.command](cfg, rundir)
         rundir.finish("done", wall_time_s=time.perf_counter() - t0)
         print(f"done: {rundir.path}")
         return 0

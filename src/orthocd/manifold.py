@@ -23,9 +23,7 @@ columns (about 6d flops), and is exactly `exp_map` restricted to one
 coordinate; the equivalence is part of the test suite.
 
 All computations are in float64.  Functions are pure unless an explicit
-`out=` argument requests in-place mutation; they keep no counters (the
-analytic flop count of each optimizer's W update is in
-`optim.OPTIMIZERS`).
+`out=` argument requests in-place mutation; they keep no counters.
 
 Geometry functions take and return plain float64 arrays.  Invariants
 are checked at the trust boundary, W^T W = I when a checkpoint is saved

@@ -26,11 +26,9 @@ S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
 reads two columns of W and G, O(d).
 
 OPTIMIZERS is the one table of the training optimizers: each name maps
-to its selection-rule kind, its step function, and the analytic flop
-count of its W update as a function of d, for a step handed G alone
-(the cost model the bench reports; handed S, the 2d^3 term drops).
-`sgd` is not in it: its W leaves O(d), so it is a bench-only baseline
-(see `analysis`), and it needs G.
+to its selection-rule kind and its step function.  `sgd` is not in
+it: its W leaves O(d), so it never trains; `analysis.bench_update`
+times it as a baseline, and it needs G.
 
 SyntheticProblem is the convergence harness's quadratic.  Its
 `evaluate` forms the residuals once and returns the loss, the exact
@@ -316,13 +314,10 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
 @dataclass(frozen=True)
 class Optimizer:
     """One optimizer: the SelectionRule kind its step reads (None for a
-    full step), the step function, and `w_flops(d)`, the analytic flop
-    count of one W update at width d.  The counts are estimates (a
-    matmul is 2d^3), not hardware counters."""
+    full step) and the step function."""
 
     rule_kind: str | None
     step: Callable[[OptimizerState, object], OptimizerState]
-    w_flops: Callable[[int], int]
 
     def rule(self, block_fraction: float = SelectionRule.block_fraction
              ) -> SelectionRule | None:
@@ -334,28 +329,11 @@ class Optimizer:
         return SelectionRule(self.rule_kind)
 
 
-def _block_gs_flops(d: int) -> int:
-    # all partials, then one rotation per pick at the default block
-    # fraction; greedy disjoint picks on the complete graph of columns
-    # stop only at min(block size, d // 2)
-    picks = min(SelectionRule("block_gs").block_size(manifold.num_coords(d)),
-                d // 2)
-    return 2 * d**3 + d**2 + 6 * d * picks
-
-
-# W-path costs given G alone: partial derivative 4d (two column dot
-# products), Givens rotation 6d, S 2d^3 (W^T G) + d^2 (argmax |S| or the
-# triangle), dense step 4d^3 (W^T G, W expm(.)) plus an expm of 13
-# matmuls 26d^3, frozen.  `manifold.matrix_expm` takes 7 products at its
-# top Taylor degree 17 and one per squaring past it; a small step
-# (||alpha S||_1 <= 0.11) takes degree 5, 7 or 9, 3-5 products and no
-# solve, so 30d^3 over-prices it
 OPTIMIZERS: dict[str, Optimizer] = {
-    "srgd": Optimizer(None, srgd_step, lambda d: 30 * d**3),
-    "srcd-u": Optimizer("uniform", srcd_step, lambda d: 10 * d),
-    "srcd-gs": Optimizer("gauss_southwell", srcd_step,
-                         lambda d: 2 * d**3 + d**2 + 6 * d),
-    "srcd-block-gs": Optimizer("block_gs", srcd_step, _block_gs_flops),
+    "srgd": Optimizer(None, srgd_step),
+    "srcd-u": Optimizer("uniform", srcd_step),
+    "srcd-gs": Optimizer("gauss_southwell", srcd_step),
+    "srcd-block-gs": Optimizer("block_gs", srcd_step),
 }
 
 

@@ -40,10 +40,11 @@ their pages in again on every iteration, 38,043 minor faults per
 40-iteration `train` command against 1,139 with the workspace (warm
 process, `ru_minflt`).  mallopt or GLIBC_TUNABLES could keep the pages
 mapped too, but they act on the whole process and on glibc alone.
-`loss` and `backward` share one softmax cross-entropy.  All math is in float64 and every function here is
-deterministic, so a fixed seed reproduces runs bitwise at fixed BLAS
-thread counts: a product large enough to keep its threads may round
-differently at another count.
+
+`loss` and `backward` share one softmax cross-entropy.  All math is in
+float64 and every function here is deterministic, so a fixed seed
+reproduces runs bitwise at fixed BLAS thread counts: a product large
+enough to keep its threads may round differently at another count.
 
 modReLU step.  `_recur` writes sign(pre) into a (B, d) scratch buffer
 and multiplies it by the magnitude into `pre`, because on numpy 2.4.6

@@ -252,20 +252,6 @@ def test_bench_update_runs_and_reports(optimizer):
     assert rec.reps == 30
 
 
-def test_bench_flop_model_frozen():
-    d = 16
-    # W-path analytic counts per step, by optimizer
-    assert an.bench_update("sgd", d, batch=2).flops == 0
-    assert an.bench_update("srcd-u", d, batch=2).flops == 10 * d  # 4d + 6d
-    assert an.bench_update("srgd", d, batch=2).flops == 30 * d**3  # 4d^3 + 13 expm products
-    assert an.bench_update("srcd-gs", d, batch=2).flops == 2 * d**3 + d**2 + 6 * d
-    # all partials, then max(1, round(0.005 D)) disjoint rotations,
-    # capped at d/2 column-disjoint pairs (D = 32640 at d=256)
-    for d, block in ((16, 1), (64, 10), (256, 128)):
-        assert an.bench_update("srcd-block-gs", d, batch=2).flops == \
-            2 * d**3 + d**2 + 6 * d * block
-
-
 def test_bench_backward_update_phase():
     rec = an.bench_update("srcd-u", 8, reps=30, warmup=5,
                           phase="backward_update", batch=2)

@@ -89,12 +89,26 @@ def test_config_error_cases(tmp_path):
                      ("noise_std", "inf"), ("noise_std", "-0.1")):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(overrides={"schedule": "polynomial", key: raw})
-    # every value bench_update refuses is refused here, before a run dir
-    for key, raw in (("bench_reps", "5"), ("bench_warmup", "4"),
-                     ("bench_dims", "2,64"), ("bench_phase_d", "3"),
-                     ("bench_batch", "0")):
-        with pytest.raises(cli.ConfigError):
-            cli.parse_config(overrides={key: raw})
+
+
+def test_former_bench_interface_is_refused(tmp_path, monkeypatch, capsys):
+    # the bench subcommand, its [bench] section and its five keys are
+    # gone: every config.ini written while they existed ends in that
+    # section, and it is refused as unknown, like the flags and the
+    # subcommand, with exit 1 and no run dir
+    old = tmp_path / "old.ini"
+    old.write_text(cli.config_to_ini(cli.parse_config(overrides=_overrides(TINY)))
+                   + "[bench]\nbench_dims = 64,256,1024\nbench_phase_d = 190\n"
+                   "bench_reps = 30\nbench_warmup = 5\nbench_batch = 32\n")
+    assert run_main(["train", "--config", str(old)], tmp_path, monkeypatch) == 1
+    assert "unknown config section [bench]" in capsys.readouterr().err
+    for key, raw in (("bench_dims", "8,16"), ("bench_phase_d", "8"),
+                     ("bench_reps", "30"), ("bench_warmup", "5"),
+                     ("bench_batch", "2")):
+        assert run_main(["train", *TINY, f"--{key}", raw],
+                        tmp_path, monkeypatch) == 1
+    assert run_main(["bench"], tmp_path, monkeypatch) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_bool_coercion():
@@ -110,7 +124,7 @@ def test_bool_coercion():
 def test_config_ini_round_trip(tmp_path):
     cfg = cli.parse_config(overrides={
         "preset": "custom", "d": "12", "alpha0": "0.125", "optimizer": "srgd",
-        "schedule": "polynomial", "robbins_monro": "true", "bench_dims": "8,16"})
+        "schedule": "polynomial", "robbins_monro": "true", "conv_d": "8"})
     path = tmp_path / "round.ini"
     path.write_text(cli.config_to_ini(cfg))
     assert cli.parse_config(str(path)) == cfg
@@ -526,27 +540,6 @@ def test_convergence_refuses_zero_iterations(tmp_path, monkeypatch):
     meta = json.loads((rundir / "run_meta.json").read_text())
     assert meta["status"] == "failed"
     assert "iterations" in meta["error"]
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def test_bench_run(tmp_path, monkeypatch):
-    args = ["bench", "--bench_dims", "8,16", "--bench_phase_d", "8",
-            "--bench_batch", "2"]
-    assert run_main(args, tmp_path, monkeypatch) == 0
-    (rundir,) = (tmp_path / "runs").iterdir()
-    rows = (rundir / "bench.csv").read_text().strip().split("\n")
-    assert rows[0] == "d,optimizer,phase,median_s,iqr_s,flops,mean_s,reps"
-    # 2 dims x 2 optimizers + 4 optimizers x 2 phases, minus 2 duplicate cells
-    assert len(rows) - 1 == 10
-    summary = json.loads((rundir / "summary.json").read_text())
-    assert set(summary["loglog_slopes_update"]) == {"srcd-u", "srgd"}
-    assert set(summary["update_over_backward_update"]) == \
-        {"sgd", "srgd", "srcd-gs", "srcd-u"}
-    for ratio in summary["update_over_backward_update"].values():
-        assert ratio > 0
 
 
 # ---------------------------------------------------------------------------
