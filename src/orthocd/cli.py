@@ -188,7 +188,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     try:
         _task_from(cfg)
         _schedule_from(cfg)
-        optim.OPTIMIZERS[cfg.optimizer].rule(cfg.block_fraction)
+        optim.SelectionRule(block_fraction=cfg.block_fraction)  # every optimizer
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

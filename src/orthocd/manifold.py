@@ -28,8 +28,9 @@ All computations are in float64.  Functions are pure unless an explicit
 Geometry functions take and return plain float64 arrays.  Invariants
 are checked at the trust boundary, W^T W = I when a checkpoint is saved
 or loaded (`rnn.RnnParams.check`), and by the tests.  The checks left
-here guard one call's own input: `exp_map` rejects a non-tangent xi,
-`matrix_expm` a non-skew matrix and `reorthogonalize` a gross defect.
+here guard one call's own input: `matrix_expm` rejects a non-skew
+matrix by one rule, SKEW_TOL, and through it `exp_map` a non-tangent
+xi; `reorthogonalize` rejects a gross defect.
 
 Thread policy.  Every product of this module runs on numpy's one
 OpenBLAS pool; `matrix_expm` is numpy products too (scaling and squaring
@@ -49,7 +50,6 @@ import numpy as np
 __all__ = [
     "all_partials",
     "antisym",
-    "basis_tangent",
     "coord_index",
     "coord_pair",
     "exp_map",
@@ -62,13 +62,12 @@ __all__ = [
     "reorthogonalize",
     "skew_grad",
     "skew_partials",
-    "tangent_project",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
-SKEW_TOL = 1e-10  # matrix_expm's and exp_map's skew checks
+SKEW_TOL = 1e-10  # the one skew check, matrix_expm's (exp_map's through it)
 SKEW_BLOCKED_MIN_D = 512  # tiled a - a.T from this width: see antisym
 
 
@@ -128,36 +127,9 @@ def coord_pair(i: int, d: int) -> tuple[int, int]:
     return a + 1, b + 1
 
 
-def basis_tangent(w: np.ndarray, i: int) -> np.ndarray:
-    """Dense tangent basis element eta_i = W @ H[j,l] at W.
-
-    Only columns j and l of the result are nonzero:
-    eta[:, l] = W[:, j]/sqrt(2) and eta[:, j] = -W[:, l]/sqrt(2).
-    Intended for tests; O(d^2) allocation.
-    """
-    w = _check_square(w)
-    d = w.shape[0]
-    j, l = coord_pair(i, d)
-    eta = np.zeros_like(w)
-    eta[:, l - 1] = w[:, j - 1] / _SQRT2
-    eta[:, j - 1] = -w[:, l - 1] / _SQRT2
-    return eta
-
-
 # ---------------------------------------------------------------------------
-# projection and partial derivatives
+# partial derivatives
 # ---------------------------------------------------------------------------
-
-def tangent_project(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of an ambient matrix M onto the tangent
-    space at W:  P(M) = W (W^T M - M^T W) / 2."""
-    w = _check_square(w)
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != w.shape:
-        raise ValueError(f"shape mismatch: W is {w.shape}, M is {m.shape}")
-    a = w.T @ m
-    return w @ ((a - a.T) / 2.0)
-
 
 def partial_derivative(w: np.ndarray, g: np.ndarray, i: int) -> float:
     """Riemannian partial derivative along eta_i from the Euclidean
@@ -315,50 +287,35 @@ def _expm_skew(s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _skew_part(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """||A + A^T||_F and (A - A^T)/2, the exactly skew part (A itself,
-    bitwise, when A is skew), both through the tiled transpose."""
-    defect = float(np.linalg.norm(_with_transpose(np.add, a)))
-    s = _with_transpose(np.subtract, a)
-    s /= 2.0
-    return defect, s
-
-
 def matrix_expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
     Rejects inputs whose symmetric part exceeds SKEW_TOL in Frobenius
-    norm, then exponentiates the exactly skew (A - A^T)/2 by scaling
-    and squaring with a Taylor polynomial of degree at most 17, matrix
-    products only (`_expm_skew`); the test suite validates it against
-    an independent truncated-Taylor oracle that neither scales nor
-    squares.
+    norm.  A non-zero defect within it is repaired to the exactly skew
+    (A - A^T)/2; an exactly skew A goes on as given.  The Taylor core
+    (`_expm_skew`) then scales and squares with a polynomial of degree
+    at most 17, matrix products only; the test suite validates it
+    against an independent truncated-Taylor oracle that neither scales
+    nor squares.
     """
-    defect, s = _skew_part(_check_square(a))
+    a = _check_square(a)
+    defect = float(np.linalg.norm(_with_transpose(np.add, a)))
     if defect > SKEW_TOL:
         raise ValueError(f"input not skew-symmetric: ||A + A^T||_F = {defect:.3e}")
-    return _expm_skew(s)
+    if defect:
+        a = _with_transpose(np.subtract, a)
+        a /= 2.0
+    return _expm_skew(a)
 
 
 def exp_map(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Geodesic step Exp_W(xi) = W @ expm(W^T xi).
-
-    Tangency of `xi` at W is validated: a defect above
-    SKEW_TOL * max(1, ||xi||) raises.  That check is stricter than
-    `matrix_expm`'s, so the exactly skew part of W^T xi goes to the
-    Taylor core (`_expm_skew`) directly.
-    """
+    """Geodesic step Exp_W(xi) = W @ expm(W^T xi); `matrix_expm`
+    refuses an xi that is not tangent at W."""
     w = _check_square(w)
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, xi is {xi.shape}")
-    defect, omega = _skew_part(w.T @ xi)
-    scale = max(1.0, float(np.linalg.norm(xi)))
-    if defect > SKEW_TOL * scale:
-        raise ValueError(
-            f"xi is not tangent at W: ||W^T xi + (W^T xi)^T||_F = {defect:.3e}"
-        )
-    return w @ _expm_skew(omega)
+    return w @ matrix_expm(w.T @ xi)
 
 
 def givens_update(

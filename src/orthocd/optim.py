@@ -256,12 +256,13 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     """Full Riemannian step: W <- Exp_W(-alpha * P(g_W)).
 
     Exp_W(W S) = W expm(S) for skew S, so the update multiplies W by
-    expm(-alpha * skew(W^T g_W)) directly.
+    expm(-alpha * skew(W^T g_W)) directly.  That argument is exactly
+    skew, so `matrix_expm` takes it to its Taylor core as given.
     """
     alpha = schedule_step(state.schedule, state.k)
     _update_x(state, grads, alpha)
     w = state.w
-    w[...] = w @ manifold.matrix_expm(-alpha * (_skew(w, grads) / 2.0))
+    w[...] = w @ manifold.matrix_expm(_skew(w, grads) * (-alpha / 2.0))
     state.k += 1
     if state.reorth_every and state.k % state.reorth_every == 0:
         w[...] = manifold.reorthogonalize(w)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from orthocd import manifold
+
 
 def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
     """Truncated Taylor series for expm.
@@ -38,6 +40,22 @@ def dense_rotation(d: int, j: int, l: int, angle: float) -> np.ndarray:
     r[l - 1, j - 1] = -s
     r[l - 1, l - 1] = c
     return r
+
+
+def basis_tangent(w: np.ndarray, i: int) -> np.ndarray:
+    """Dense tangent basis element eta_i = W @ H[j,l] at W.
+
+    Only columns j and l of the result are nonzero:
+    eta[:, l] = W[:, j]/sqrt(2) and eta[:, j] = -W[:, l]/sqrt(2).
+    Intended for tests; O(d^2) allocation.
+    """
+    w = manifold._check_square(w)
+    d = w.shape[0]
+    j, l = manifold.coord_pair(i, d)
+    eta = np.zeros_like(w)
+    eta[:, l - 1] = w[:, j - 1] / math.sqrt(2.0)
+    eta[:, j - 1] = -w[:, l - 1] / math.sqrt(2.0)
+    return eta
 
 
 def dense_projection(w: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -89,6 +89,12 @@ def test_config_error_cases(tmp_path):
                      ("noise_std", "inf"), ("noise_std", "-0.1")):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(overrides={"schedule": "polynomial", key: raw})
+    # block_fraction outside (0, 1] is refused whatever the optimizer,
+    # with SelectionRule's message
+    for opt, raw in (("srcd-u", "nan"), ("srcd-gs", "0"), ("srgd", "-3"),
+                     ("srcd-block-gs", "2")):
+        with pytest.raises(cli.ConfigError, match=r"block_fraction must be in \(0, 1\]"):
+            cli.parse_config(overrides={"optimizer": opt, "block_fraction": raw})
 
 
 def test_former_bench_interface_is_refused(tmp_path, monkeypatch, capsys):
@@ -239,12 +245,18 @@ def test_train_every_optimizer(optimizer, tmp_path, monkeypatch):
 
 
 def test_block_keys_reach_only_block_gs(tmp_path, monkeypatch):
+    # a block_fraction outside (0, 1] is refused before a run dir exists,
+    # whatever the optimizer; a valid one reaches only block_gs's rule
     bad_block = [*TINY, "--iterations", "1", "--block_fraction", "2"]
-    assert run_main(["train", *bad_block, "--optimizer", "srcd-u"],
-                    tmp_path, monkeypatch) == 0
-    assert run_main(["train", *bad_block, "--optimizer", "srcd-block-gs",
-                     "--out", str(tmp_path / "refused")], tmp_path, monkeypatch) == 1
-    assert not (tmp_path / "refused").exists()
+    for opt in ("srcd-u", "srcd-block-gs"):
+        assert run_main(["train", *bad_block, "--optimizer", opt,
+                         "--out", str(tmp_path / opt)], tmp_path, monkeypatch) == 1
+        assert not (tmp_path / opt).exists()
+    default = optim.SelectionRule.block_fraction
+    for name, entry in optim.OPTIMIZERS.items():
+        rule = entry.rule(0.5)
+        if rule is not None:
+            assert rule.block_fraction == (0.5 if name == "srcd-block-gs" else default)
 
 
 @pytest.mark.parametrize("optimizer", ["srcd-gs", "srgd"])

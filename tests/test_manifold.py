@@ -13,7 +13,7 @@ from orthocd import blas
 from orthocd import manifold as mf
 
 from oracles import (
-    dense_basis,
+    basis_tangent,
     dense_projection,
     dense_rotation,
     pairwise_partials,
@@ -25,6 +25,11 @@ SQRT2 = math.sqrt(2.0)
 
 def random_w(d, seed=0):
     return mf.random_orthogonal(d, np.random.default_rng(seed))
+
+
+def project(w, m):
+    # the tangent projection P(M) = W skew(W^T M) = W S/2, S = skew_grad(W, M)
+    return w @ mf.skew_grad(w, m) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +89,11 @@ def test_coord_range_validation():
 # basis
 # ---------------------------------------------------------------------------
 
-def test_basis_tangent_equals_dense_product():
-    d = 9
-    w = random_w(d)
-    for i in (1, 5, mf.num_coords(d)):
-        j, l = mf.coord_pair(i, d)
-        eta = mf.basis_tangent(w, i)
-        assert np.allclose(eta, w @ dense_basis(j, l, d), atol=1e-15)
-        # sparsity: only columns j and l are touched
-        others = [c for c in range(d) if c not in (j - 1, l - 1)]
-        assert np.all(eta[:, others] == 0.0)
-
-
 def test_basis_orthonormal_exhaustive():
     d = 8
     w = random_w(d, seed=3)
     n = mf.num_coords(d)
-    etas = [mf.basis_tangent(w, i) for i in range(1, n + 1)]
+    etas = [basis_tangent(w, i) for i in range(1, n + 1)]
     for a in range(n):
         for b in range(a, n):
             want = 1.0 if a == b else 0.0
@@ -116,7 +109,7 @@ def test_projection_matches_dense_formula():
     for d in (3, 8, 21):
         w = mf.random_orthogonal(d, rng)
         m = rng.standard_normal((d, d))
-        p = mf.tangent_project(w, m)
+        p = project(w, m)
         assert np.allclose(p, dense_projection(w, m), atol=1e-13)
 
 
@@ -125,11 +118,11 @@ def test_projection_idempotent_and_fixes_tangents():
     d = 14
     w = mf.random_orthogonal(d, rng)
     m = rng.standard_normal((d, d))
-    p1 = mf.tangent_project(w, m)
-    p2 = mf.tangent_project(w, p1)
+    p1 = project(w, m)
+    p2 = project(w, p1)
     assert np.linalg.norm(p2 - p1) <= 1e-12 * max(1, np.linalg.norm(p1))
-    eta = mf.basis_tangent(w, 5)
-    assert np.allclose(mf.tangent_project(w, eta), eta, atol=1e-14)
+    eta = basis_tangent(w, 5)
+    assert np.allclose(project(w, eta), eta, atol=1e-14)
 
 
 def test_projection_self_adjoint():
@@ -138,8 +131,8 @@ def test_projection_self_adjoint():
     w = mf.random_orthogonal(d, rng)
     m = rng.standard_normal((d, d))
     n = rng.standard_normal((d, d))
-    lhs = float(np.vdot(mf.tangent_project(w, m), n))
-    rhs = float(np.vdot(m, mf.tangent_project(w, n)))
+    lhs = float(np.vdot(project(w, m), n))
+    rhs = float(np.vdot(m, project(w, n)))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -169,7 +162,7 @@ def test_parseval_norm_identity():
     w = mf.random_orthogonal(d, rng)
     g = rng.standard_normal((d, d))
     v = mf.all_partials(w, g)
-    proj_norm = np.linalg.norm(mf.tangent_project(w, g))
+    proj_norm = np.linalg.norm(project(w, g))
     assert abs(np.linalg.norm(v) - proj_norm) <= 1e-10 * proj_norm
 
 
@@ -179,7 +172,7 @@ def test_partials_of_tangent_recover_coefficients():
     d = 7
     w = mf.random_orthogonal(d, rng)
     coeffs = rng.standard_normal(mf.num_coords(d))
-    xi = sum(c * mf.basis_tangent(w, i + 1) for i, c in enumerate(coeffs))
+    xi = sum(c * basis_tangent(w, i + 1) for i, c in enumerate(coeffs))
     assert np.allclose(mf.all_partials(w, xi), coeffs, atol=1e-13)
 
 
@@ -258,9 +251,12 @@ def test_matrix_expm_of_zero_is_identity_exactly(d):
 
 @pytest.mark.parametrize("d", [5, 600])
 def test_expm_checks_refuse_what_they_refused(d):
-    # matrix_expm refuses a non-square or non-skew input and exp_map a
-    # non-tangent xi, below and from SKEW_BLOCKED_MIN_D (the tiled a + a.T);
-    # a non-finite input is not refused and comes back NaN
+    # matrix_expm refuses a non-square or non-skew input, and exp_map a
+    # non-square W, a misshapen xi or a non-tangent one, below and from
+    # SKEW_BLOCKED_MIN_D (the tiled a + a.T).  exp_map once had its own
+    # rule, defect > SKEW_TOL * max(1, ||xi||); every input it refused
+    # is still refused, here defects twice that bound at ||xi|| = 0.5
+    # and 100.  A non-finite input is not refused and comes back NaN
     rng = np.random.default_rng(d)
     a = rng.standard_normal((d, d))
     s = (a - a.T) / 2.0
@@ -269,19 +265,70 @@ def test_expm_checks_refuse_what_they_refused(d):
         with pytest.raises(ValueError):
             mf.matrix_expm(bad)
     w = random_w(d, seed=1)
-    for bad in (w @ (s + 1e-9 * np.eye(d)), w @ a):
+    unit = s / np.linalg.norm(s)
+    bads = [w @ (s + 1e-9 * np.eye(d)), w @ a, w]
+    for size in (0.5, 100.0):
+        # W^T xi = size unit + delta I, whose defect is 2 delta sqrt(d)
+        delta = 2.0 * mf.SKEW_TOL * max(1.0, size) / (2.0 * math.sqrt(d))
+        bads.append(w @ (size * unit + delta * np.eye(d)))
+    for bad in bads:
+        wtx = w.T @ bad
+        old_scale = max(1.0, float(np.linalg.norm(bad)))
+        assert np.linalg.norm(wtx + wtx.T) > mf.SKEW_TOL * old_scale
         with pytest.raises(ValueError):
             mf.exp_map(w, bad)
+    for xi in (np.zeros((d, d + 1)), np.zeros(d), np.zeros((2, d, d))):
+        with pytest.raises(ValueError):
+            mf.exp_map(w, xi)
     with pytest.raises(ValueError):
-        mf.exp_map(w, np.zeros((d, d + 1)))
+        mf.exp_map(w[:, :-1], np.zeros((d, d - 1)))
     poisoned = s.copy()
     poisoned[0, 1] = np.nan
     assert np.isnan(mf.matrix_expm(poisoned)).all()
+    assert np.isnan(mf.exp_map(w, w @ poisoned)).all()
     # within tol the input is repaired to (a - a.T)/2 with the same bits
     # as the one-shot transpose, then exponentiated
     near = s + 1e-14 * rng.standard_normal((d, d))
     assert np.array_equal(mf._with_transpose(np.add, near), near + near.T)
     assert np.array_equal(mf.matrix_expm(near), mf._expm_skew((near - near.T) / 2.0))
+
+
+@pytest.mark.parametrize("d", [5, 600])
+def test_exp_map_refuses_a_defect_its_former_scaled_rule_passed(d):
+    # ||xi|| > 1 with SKEW_TOL < defect <= SKEW_TOL * ||xi||: exp_map's
+    # former rule let this through, matrix_expm's absolute one refuses it
+    w = random_w(d, seed=2)
+    a = np.random.default_rng(d).standard_normal((d, d))
+    s = (a - a.T) / 2.0
+    delta = 5.0 * mf.SKEW_TOL / (2.0 * math.sqrt(d))  # defect ~ 5 SKEW_TOL
+    xi = w @ (100.0 * s / np.linalg.norm(s) + delta * np.eye(d))
+    wtx = w.T @ xi
+    defect = float(np.linalg.norm(wtx + wtx.T))
+    assert mf.SKEW_TOL < defect <= mf.SKEW_TOL * float(np.linalg.norm(xi))
+    with pytest.raises(ValueError):
+        mf.exp_map(w, xi)
+
+
+@pytest.mark.parametrize("d", [64, 600])
+def test_matrix_expm_takes_an_exactly_skew_input_as_given(d, monkeypatch):
+    # srgd's argument, antisym(A) * (-alpha / 2), is exactly skew with a
+    # -0.0 diagonal: matrix_expm forms no (A - A^T)/2 for it, and returns
+    # the bits of that repair (a +0.0 diagonal); a near-skew input is
+    # repaired.  d = 600 is at or above SKEW_BLOCKED_MIN_D, the tiled path
+    assert 600 >= mf.SKEW_BLOCKED_MIN_D
+    a = np.random.default_rng(d).standard_normal((d, d))
+    x = mf.antisym(a) * (-0.05 / 2.0)
+    assert np.signbit(np.diag(x)).all()
+    want = mf._expm_skew((x - x.T) / 2.0)
+    ops = []
+    real = mf._with_transpose
+    monkeypatch.setattr(mf, "_with_transpose", lambda op, m: ops.append(op) or real(op, m))
+    assert np.array_equal(mf.matrix_expm(x), want)
+    assert ops == [np.add]
+    near = x.copy()
+    near[0, 1] += 1e-13
+    mf.matrix_expm(near)
+    assert ops == [np.add, np.add, np.subtract]
 
 
 def test_no_module_imports_scipy(tmp_path):
@@ -336,7 +383,7 @@ def test_exp_map_zero_is_identity_and_validates_tangency():
     assert np.allclose(mf.exp_map(w, np.zeros((d, d))), w, atol=1e-15)
     with pytest.raises(ValueError):
         mf.exp_map(w, w)  # w itself is not tangent at w
-    eta = mf.basis_tangent(w, 2)
+    eta = basis_tangent(w, 2)
     other = random_w(d, seed=17)
     with pytest.raises(ValueError):
         mf.exp_map(other, eta)  # a tangent based elsewhere
@@ -361,7 +408,7 @@ def test_givens_update_is_exp_map_of_basis_direction():
     w = mf.random_orthogonal(d, rng)
     for i in (1, 17, mf.num_coords(d)):
         theta = float(rng.uniform(-2.0, 2.0))
-        eta = mf.basis_tangent(w, i)
+        eta = basis_tangent(w, i)
         via_exp = mf.exp_map(w, theta * eta)
         assert np.allclose(mf.givens_update(w, i, theta), via_exp, atol=1e-13)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import orthocd
+from orthocd import manifold, optim
 
 MODULES = ["orthocd"] + [f"orthocd.{m.name}" for m in pkgutil.iter_modules(orthocd.__path__)]
 
@@ -45,3 +46,30 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in targets if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
+    # perfbench times a layer by swapping its module attribute, so a step
+    # that reaches the function any other way leaves that layer at 0:
+    # each call below must pass through the name perfbench wraps
+    calls = []
+
+    def spy(name):
+        real = getattr(manifold, name)
+        monkeypatch.setattr(manifold, name,
+                            lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+    for name in ("all_partials", "partial_derivative", "givens_update", "matrix_expm"):
+        spy(name)
+    problem = optim.SyntheticProblem.make(8, (2, 2), seed=0)
+    x, w = problem.init(0)
+    _, _, grads = problem.evaluate(x, w)
+    assert grads.skew is None  # a G bundle, as the probes hand
+    assert calls == ["all_partials"]
+    schedule = optim.StepSchedule("fixed", 1e-2)
+    calls.clear()
+    optim.srcd_step(problem.state(schedule, optim.SelectionRule("uniform")), grads)
+    assert calls == ["partial_derivative", "givens_update"]
+    calls.clear()
+    optim.srgd_step(problem.state(schedule), grads)
+    assert calls == ["matrix_expm"]
