@@ -173,11 +173,7 @@ BENCH_MIN_WARMUP = 5
 
 # the training optimizers plus one bench-only baseline: a Euclidean
 # step whose W leaves O(d), so it is never trained and has no W geometry
-_BENCHED: dict[str, optim.Optimizer] = {
-    "sgd": optim.Optimizer(None, optim.sgd_step),
-    **optim.OPTIMIZERS,
-}
-BENCH_OPTIMIZERS = tuple(_BENCHED)
+BENCH_OPTIMIZERS = ("sgd", *optim.OPTIMIZERS)
 
 
 def bench_update(
@@ -191,14 +187,15 @@ def bench_update(
 ) -> BenchRecord:
     """Median/IQR wall time per step on the monotonic clock.
 
-    phase="update" times only the parameter update given precomputed
-    gradients (Table-1 "optim.step()" analogue; the gradient content is
-    random since it does not affect cost), its bundle made and checked
-    once outside the timed region.  phase="backward_update" times BPTT
-    plus the update on a real copy-task batch (desk-scale sequence at
-    the requested width), making and checking inside the timed region
-    the bundle `train` hands the step: S = antisym(A) from BPTT's
-    A = W^T G, or, to the `sgd` baseline, which needs it, G = W A.  No
+    The step is `optim.step`, as in `train` (block_gs at the default
+    block_fraction), or `optim.sgd_step` for `sgd`.  phase="update"
+    times only the step given precomputed gradients (Table-1 analogue;
+    the gradient content is random since it does not affect cost), its
+    bundle made and checked once outside the timed region.
+    phase="backward_update" times BPTT plus the step on a real copy-task
+    batch (desk-scale sequence at the requested width), making and
+    checking inside the timed region the bundle `train` hands the step:
+    S = antisym(A) from BPTT's A = W^T G, or, to `sgd`, G = W A.  No
     thread limit is added: each step takes the package's own hold (a
     small BPTT runs with numpy's OpenBLAS at one thread and gives the
     count back; expm runs on that same pool at the count in force).
@@ -208,8 +205,7 @@ def bench_update(
     The same W is reused across reps (fresh-W-per-rep would time
     initialization, not the update).
     """
-    entry = _BENCHED.get(optimizer)
-    if entry is None:
+    if optimizer not in BENCH_OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     if d < BENCH_MIN_D:
         raise ValueError(f"bench needs d >= {BENCH_MIN_D}")
@@ -221,10 +217,12 @@ def bench_update(
     rng = np.random.default_rng(seed)
     task = dataclasses.replace(copytask.DESK, batch=batch)
     params = rnn.init_params(d, task.n_input_classes, task.n_output_classes, seed)
+    kind = optim.OPTIMIZERS.get(optimizer)
     state = optim.OptimizerState.for_rnn(
-        params, optim.StepSchedule("fixed", 2e-4), rule=entry.rule(), seed=seed,
+        params, optim.StepSchedule("fixed", 2e-4),
+        rule=None if kind is None else optim.SelectionRule(kind), seed=seed,
         reorth_every=None)
-    step = entry.step
+    step = optim.sgd_step if optimizer == "sgd" else optim.step
 
     if phase == "update":
         grads = optim.GradPack(

@@ -141,6 +141,8 @@ def parse_config(path: str | None = None,
             raise ConfigError(f"bad config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        if parser.defaults():  # ConfigParser copies them into every section
+            raise ConfigError(f"unknown config section [{parser.default_section}]")
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -335,10 +337,10 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     params = rnn.init_params(cfg.d, task.n_input_classes, task.n_output_classes,
                              seed=cfg.seed)
     schedule = _schedule_from(cfg)
-    opt = optim.OPTIMIZERS[cfg.optimizer]
+    kind = optim.OPTIMIZERS[cfg.optimizer]
+    rule = None if kind is None else optim.SelectionRule(kind, cfg.block_fraction)
     state = optim.OptimizerState.for_rnn(
-        params, schedule, rule=opt.rule(cfg.block_fraction),
-        seed=[cfg.seed, 2], reorth_every=cfg.reorth_every)
+        params, schedule, rule=rule, seed=[cfg.seed, 2], reorth_every=cfg.reorth_every)
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
     losses = np.empty(cfg.iterations)
@@ -360,7 +362,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         alphas[k] = optim.schedule_step(schedule, state.k)
         losses[k] = value
         gnormsq[k] = pack.skew_sq / 4.0 + sum(pack.x_sq)
-        opt.step(state, pack)
+        optim.step(state, pack)
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
@@ -479,7 +481,7 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     for k in range(n):
         alphas[k] = optim.schedule_step(schedule, k)
         losses[k], gsq[k], grads = problem.evaluate(x, state.w, rng=noise_rng)
-        optim.srcd_step(state, grads)
+        optim.step(state, grads)
     m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)
 

@@ -26,9 +26,10 @@ S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
 reads two columns of W and G, O(d).
 
 OPTIMIZERS is the one table of the training optimizers: each name maps
-to its selection-rule kind and its step function.  `sgd` is not in
-it: its W leaves O(d), so it never trains; `analysis.bench_update`
-times it as a baseline, and it needs G.
+to its SelectionRule kind, None for srgd.  `step` takes a state to
+srgd_step or srcd_step by its rule, reading both names at call time.
+`sgd` is not in the table: its W leaves O(d), so it never trains;
+`analysis.bench_update` times it as a baseline, and it needs G.
 
 SyntheticProblem is the convergence harness's quadratic.  Its
 `evaluate` forms the residuals once and returns the loss, the exact
@@ -45,7 +46,6 @@ scan nothing: the uniform step stays O(d).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "GradPack",
     "NumericError",
     "OPTIMIZERS",
-    "Optimizer",
     "OptimizerState",
     "SelectionRule",
     "StepSchedule",
@@ -69,6 +68,7 @@ __all__ = [
     "sgd_step",
     "srcd_step",
     "srgd_step",
+    "step",
 ]
 
 
@@ -312,30 +312,19 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     return state
 
 
-@dataclass(frozen=True)
-class Optimizer:
-    """One optimizer: the SelectionRule kind its step reads (None for a
-    full step) and the step function."""
-
-    rule_kind: str | None
-    step: Callable[[OptimizerState, object], OptimizerState]
-
-    def rule(self, block_fraction: float = SelectionRule.block_fraction
-             ) -> SelectionRule | None:
-        """The selection rule; only block_gs reads block_fraction."""
-        if self.rule_kind is None:
-            return None
-        if self.rule_kind == "block_gs":
-            return SelectionRule("block_gs", block_fraction)
-        return SelectionRule(self.rule_kind)
-
-
-OPTIMIZERS: dict[str, Optimizer] = {
-    "srgd": Optimizer(None, srgd_step),
-    "srcd-u": Optimizer("uniform", srcd_step),
-    "srcd-gs": Optimizer("gauss_southwell", srcd_step),
-    "srcd-block-gs": Optimizer("block_gs", srcd_step),
+OPTIMIZERS: dict[str, str | None] = {
+    "srgd": None,
+    "srcd-u": "uniform",
+    "srcd-gs": "gauss_southwell",
+    "srcd-block-gs": "block_gs",
 }
+
+
+def step(state: OptimizerState, grads: GradPack) -> OptimizerState:
+    """srgd_step for a state without a SelectionRule, srcd_step with one."""
+    if state.rule is None:
+        return srgd_step(state, grads)
+    return srcd_step(state, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def test_config_error_cases(tmp_path):
     bad_value.write_text("[run]\niterations = soon\n")
     with pytest.raises(cli.ConfigError):
         cli.parse_config(str(bad_value))
+    # keys under [DEFAULT] would reach no field, or be blamed on the
+    # first real section: the section itself is refused
+    defaults_only = tmp_path / "d.ini"
+    defaults_only.write_text("[DEFAULT]\nalpha0 = 0.5\niterations = 3\n")
+    defaults_and_run = tmp_path / "e.ini"
+    defaults_and_run.write_text(defaults_only.read_text() + "\n[run]\nseed = 1\n")
+    for path in (defaults_only, defaults_and_run):
+        with pytest.raises(cli.ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            cli.parse_config(str(path))
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides={"preset": "galaxy"})
     for name in ("adam", "sgd"):  # sgd is a bench-only baseline
@@ -246,17 +255,25 @@ def test_train_every_optimizer(optimizer, tmp_path, monkeypatch):
 
 def test_block_keys_reach_only_block_gs(tmp_path, monkeypatch):
     # a block_fraction outside (0, 1] is refused before a run dir exists,
-    # whatever the optimizer; a valid one reaches only block_gs's rule
+    # whatever the optimizer; a valid one changes only block_gs's outputs
     bad_block = [*TINY, "--iterations", "1", "--block_fraction", "2"]
     for opt in ("srcd-u", "srcd-block-gs"):
         assert run_main(["train", *bad_block, "--optimizer", opt,
                          "--out", str(tmp_path / opt)], tmp_path, monkeypatch) == 1
         assert not (tmp_path / opt).exists()
-    default = optim.SelectionRule.block_fraction
-    for name, entry in optim.OPTIMIZERS.items():
-        rule = entry.rule(0.5)
-        if rule is not None:
-            assert rule.block_fraction == (0.5 if name == "srcd-block-gs" else default)
+    for opt in optim.OPTIMIZERS:
+        outputs = []
+        for extra, out in (([], tmp_path / opt / "default"),
+                           (["--block_fraction", "0.5"], tmp_path / opt / "half")):
+            assert run_main(["train", *TINY, "--optimizer", opt, *extra,
+                             "--out", str(out)], tmp_path, monkeypatch) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trace.csv", "checkpoint.bin")])
+        default, half = outputs
+        if opt == "srcd-block-gs":
+            assert default[0] != half[0] and default[1] != half[1]
+        else:
+            assert default == half
 
 
 @pytest.mark.parametrize("optimizer", ["srcd-gs", "srgd"])
@@ -302,13 +319,13 @@ def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
     # [seed, 2] stream alone, whatever form the gradient reaches the
     # step in (the frozen list was recorded from a step handed G)
     picks = []
-    entry = optim.OPTIMIZERS["srcd-u"]
+    real = optim.srcd_step
 
     def spy(state, grads):
-        entry.step(state, grads)
+        real(state, grads)
         picks.append(state.last_coords[0])
 
-    monkeypatch.setitem(optim.OPTIMIZERS, "srcd-u", dataclasses.replace(entry, step=spy))
+    monkeypatch.setattr(optim, "srcd_step", spy)
     cfg = cli.parse_config(None, {"optimizer": "srcd-u", "iterations": 12, "seed": 0})
     cli.run_training(cfg)
     assert picks == [1975, 163, 579, 812, 462, 1213, 1800, 293, 880, 233, 99, 660]
@@ -323,14 +340,15 @@ def test_train_gnormsq_is_the_bundles_sums(monkeypatch, name):
     # give ||grad||^2 = vdot(S, S)/4 + sum of np.sum(g*g) over the X
     # blocks bitwise, written out here from the arrays the step is handed
     want = []
-    entry = optim.OPTIMIZERS[name]
+    step_name = "srgd_step" if name == "srgd" else "srcd_step"
+    real = getattr(optim, step_name)
 
     def spy(state, grads):
         want.append(float(np.vdot(grads.skew, grads.skew)) / 4.0 + sum(
             float(np.sum(g * g)) for g in grads.x.values()))
-        entry.step(state, grads)
+        real(state, grads)
 
-    monkeypatch.setitem(optim.OPTIMIZERS, name, dataclasses.replace(entry, step=spy))
+    monkeypatch.setattr(optim, step_name, spy)
     cfg = cli.parse_config(None, {"optimizer": name, "iterations": 5, "seed": 3})
     got = cli.run_training(cfg).grad_norm_sq
     assert len(want) == 5

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import orthocd
-from orthocd import manifold, optim
+from orthocd import analysis, cli, manifold, optim
 
 MODULES = ["orthocd"] + [f"orthocd.{m.name}" for m in pkgutil.iter_modules(orthocd.__path__)]
 
@@ -54,13 +54,13 @@ def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
     # each call below must pass through the name perfbench wraps
     calls = []
 
-    def spy(name):
-        real = getattr(manifold, name)
-        monkeypatch.setattr(manifold, name,
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
 
     for name in ("all_partials", "partial_derivative", "givens_update", "matrix_expm"):
-        spy(name)
+        spy(manifold, name)
     problem = optim.SyntheticProblem.make(8, (2, 2), seed=0)
     x, w = problem.init(0)
     _, _, grads = problem.evaluate(x, w)
@@ -73,3 +73,26 @@ def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
     calls.clear()
     optim.srgd_step(problem.state(schedule), grads)
     assert calls == ["matrix_expm"]
+
+    # train, the convergence harness and bench_update take their steps
+    # through `optim.step`, so perfbench's step layers see them too
+    for name in ("srcd_step", "srgd_step"):
+        spy(optim, name)
+
+    def step_calls():
+        steps = [name for name in calls if name.endswith("_step")]
+        calls.clear()
+        return steps
+
+    calls.clear()
+    tiny = {"preset": "custom", "d": 8, "batch": 2, "copy_len": 2, "lag": 4,
+            "iterations": 3}
+    for name, kind in optim.OPTIMIZERS.items():
+        cli.run_training(cli.parse_config(None, {**tiny, "optimizer": name}))
+        assert step_calls() == ["srgd_step" if kind is None else "srcd_step"] * 3
+    cli.run_convergence(cli.parse_config(None, {"conv_d": 4, "x_dim": 2, "iterations": 3}), 0)
+    assert step_calls() == ["srcd_step"] * 3
+    for phase in ("update", "backward_update"):
+        for name, want in (("srcd-gs", "srcd_step"), ("srgd", "srgd_step")):
+            analysis.bench_update(name, 8, reps=30, warmup=5, phase=phase, batch=2)
+            assert step_calls() == [want] * 35
