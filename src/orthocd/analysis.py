@@ -20,7 +20,6 @@ import numpy as np
 from . import copytask, manifold, optim, rnn
 
 __all__ = [
-    "BenchRecord",
     "SparsityProfile",
     "bench_update",
     "convergence_metric",
@@ -38,8 +37,9 @@ __all__ = [
 
 @dataclass
 class SparsityProfile:
-    sorted_magnitudes: np.ndarray  # descending |v|
-    cumulative_mass: np.ndarray    # cumulative squared-mass fractions
+    """Shares of the coordinates carrying 95%/99% of the squared (and
+    linear) mass, and the norm."""
+
     frac95: float
     frac99: float
     frac95_abs: float              # linear-mass variants, reported in CSV
@@ -65,13 +65,10 @@ def sparsity_profile(partials: np.ndarray) -> SparsityProfile:
     sq = mags * mags
     total = sq.sum()
     if total == 0.0:
-        zeros = np.zeros_like(mags)
-        return SparsityProfile(mags, zeros, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return SparsityProfile(0.0, 0.0, 0.0, 0.0, 0.0)
     cum = np.cumsum(sq) / total
     cum_abs = np.cumsum(mags) / mags.sum()
     return SparsityProfile(
-        sorted_magnitudes=mags,
-        cumulative_mass=cum,
         frac95=_frac_needed(cum, 0.95),
         frac99=_frac_needed(cum, 0.99),
         frac95_abs=_frac_needed(cum_abs, 0.95),
@@ -155,20 +152,9 @@ def convergence_metric(alphas: np.ndarray, grad_norm_sq: np.ndarray) -> np.ndarr
 # benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchRecord:
-    d: int
-    optimizer: str
-    phase: str
-    median_s: float
-    iqr_s: float
-    mean_s: float
-    reps: int
-
-
 BENCH_MIN_D = 4
-BENCH_MIN_REPS = 30
-BENCH_MIN_WARMUP = 5
+BENCH_WARMUP = 5
+BENCH_REPS = 30
 
 
 # the training optimizers plus one bench-only baseline: a Euclidean
@@ -176,34 +162,17 @@ BENCH_MIN_WARMUP = 5
 BENCH_OPTIMIZERS = ("sgd", *optim.OPTIMIZERS)
 
 
-def bench_update(
-    optimizer: str,
-    d: int,
-    reps: int = 30,
-    warmup: int = 5,
-    phase: str = "update",
-    batch: int = 32,
-    seed: int = 0,
-) -> BenchRecord:
-    """Median/IQR wall time per step on the monotonic clock.
+def bench_update(optimizer: str, d: int, phase: str = "update",
+                 batch: int = 32) -> float:
+    """Median seconds of BENCH_REPS timed steps after BENCH_WARMUP.
 
-    The step is `optim.step`, as in `train` (block_gs at the default
-    block_fraction), or `optim.sgd_step` for `sgd`.  phase="update"
-    times only the step given precomputed gradients (Table-1 analogue;
-    the gradient content is random since it does not affect cost), its
-    bundle made and checked once outside the timed region.
-    phase="backward_update" times BPTT plus the step on a real copy-task
-    batch (desk-scale sequence at the requested width), making and
-    checking inside the timed region the bundle `train` hands the step:
-    S = antisym(A) from BPTT's A = W^T G, or, to `sgd`, G = W A.  No
-    thread limit is added: each step takes the package's own hold (a
-    small BPTT runs with numpy's OpenBLAS at one thread and gives the
-    count back; expm runs on that same pool at the count in force).
-    Setup and allocation stay outside the timed region: a
-    backward_update call keeps one `rnn.Workspace` across reps, as
-    `train` does, so BPTT's (T, B, d) buffers are allocated in warmup.
-    The same W is reused across reps (fresh-W-per-rep would time
-    initialization, not the update).
+    The step is `optim.step`, as in `train`, or `optim.sgd_step` for
+    `sgd`.  phase="update" times the step alone on a bundle of random G
+    and X blocks, made once outside the timed region.
+    phase="backward_update" times BPTT on a desk-scale copy-task batch
+    plus the step on the bundle `train` makes from it: S = antisym(A),
+    or G = W A for `sgd`.  One `rnn.Workspace` and one W serve every
+    call, as in `train`; no thread limit is added beyond the package's.
     """
     if optimizer not in BENCH_OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -211,16 +180,13 @@ def bench_update(
         raise ValueError(f"bench needs d >= {BENCH_MIN_D}")
     if phase not in ("update", "backward_update"):
         raise ValueError(f"unknown phase {phase!r}")
-    if reps < BENCH_MIN_REPS or warmup < BENCH_MIN_WARMUP:
-        raise ValueError(f"need reps >= {BENCH_MIN_REPS} "
-                         f"and warmup >= {BENCH_MIN_WARMUP}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     task = dataclasses.replace(copytask.DESK, batch=batch)
-    params = rnn.init_params(d, task.n_input_classes, task.n_output_classes, seed)
+    params = rnn.init_params(d, task.n_input_classes, task.n_output_classes, 0)
     kind = optim.OPTIMIZERS.get(optimizer)
     state = optim.OptimizerState.for_rnn(
         params, optim.StepSchedule("fixed", 2e-4),
-        rule=None if kind is None else optim.SelectionRule(kind), seed=seed,
+        rule=None if kind is None else optim.SelectionRule(kind), seed=0,
         reorth_every=None)
     step = optim.sgd_step if optimizer == "sgd" else optim.step
 
@@ -229,16 +195,13 @@ def bench_update(
             w=rng.standard_normal((d, d)),
             x={name: rng.standard_normal(arr.shape) * 0.01
                for name, arr in state.x.items()})
-        def timed_once() -> float:
-            t0 = time.perf_counter()
+        def once() -> None:
             step(state, grads)
-            return time.perf_counter() - t0
     else:
         data = copytask.generate_batch(task, rng)
         x1h = copytask.one_hot(data.inputs, task.n_input_classes)
         work = rnn.Workspace()
-        def timed_once() -> float:
-            t0 = time.perf_counter()
+        def once() -> None:
             _, grads = rnn.backward(params, x1h, data.targets, data.mask, work)
             if optimizer == "sgd":
                 pack = optim.GradPack(w=state.w @ grads.a, x=grads.x_blocks())
@@ -246,16 +209,15 @@ def bench_update(
                 pack = optim.GradPack(skew=manifold.antisym(grads.a),
                                       x=grads.x_blocks())
             step(state, pack)
-            return time.perf_counter() - t0
 
-    for _ in range(warmup):
-        timed_once()
-    times = np.array([timed_once() for _ in range(reps)])
-
-    q25, q50, q75 = np.percentile(times, [25, 50, 75])
-    return BenchRecord(d=d, optimizer=optimizer, phase=phase,
-                       median_s=float(q50), iqr_s=float(q75 - q25),
-                       mean_s=float(times.mean()), reps=reps)
+    for _ in range(BENCH_WARMUP):
+        once()
+    times = []
+    for _ in range(BENCH_REPS):
+        t0 = time.perf_counter()
+        once()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
 
 
 def loglog_slope(dims, times) -> float:

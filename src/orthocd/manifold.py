@@ -115,16 +115,11 @@ def coord_pair(i: int, d: int) -> tuple[int, int]:
     D = num_coords(d)
     if not (1 <= i <= D):
         raise ValueError(f"coordinate {i} out of range 1..{D} for d={d}")
-    # 0-based row a solves a*d - a(a+1)/2 <= i-1 < (a+1)*d - (a+1)(a+2)/2;
-    # the quadratic is solved exactly with integer isqrt, then clamped
-    i0 = i - 1
-    a = (2 * d - 1 - math.isqrt((2 * d - 1) ** 2 - 8 * i0)) // 2
-    while a * d - a * (a + 1) // 2 > i0:
-        a -= 1
-    while (a + 1) * d - (a + 1) * (a + 2) // 2 <= i0:
-        a += 1
-    b = i0 - (a * d - a * (a + 1) // 2) + a + 1
-    return a + 1, b + 1
+    # counted from the last coordinate, k = D - i lies in the r-th row
+    # from the bottom, r(r+1)/2 <= k < (r+1)(r+2)/2, solved exactly by isqrt
+    k = D - i
+    r = (math.isqrt(8 * k + 1) - 1) // 2
+    return d - 1 - r, d - (k - r * (r + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ harness pays one objective evaluation per iteration; `loss`,
 
 States mutate their parameter arrays in place and are single-owner.
 Making a GradPack raises NumericError on non-finite gradients (G, S
-and every X block), so no NaN reaches the parameters, and the steps
-scan nothing: the uniform step stays O(d).
+and every X block), and the steps scan nothing more: the uniform step
+stays O(d).  A finite bundle can still make a non-finite S or angle
+(G near the largest double, or alpha * S overflowing), so each step
+forms its W move first and checks the S and the angles it formed; a
+step refused with NumericError moves neither X nor W, nor counts.
 """
 
 from __future__ import annotations
@@ -225,12 +228,20 @@ def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
     symmetric with a zero diagonal, so the first row-major maximum of
     the whole matrix lies in the upper triangle, where row-major order
     is the coordinate order: ties go to the smallest coordinate.  An
-    all-zero S gives coordinate 1, the pair (0, 1).
+    all-zero S gives coordinate 1, the pair (0, 1).  argmax takes the
+    first NaN, so an S holding one gives a pair whose entry is NaN, on
+    the diagonal too, and the step refuses it.
     """
     mags = np.abs(skew)
     mags /= _SQRT2
     r, c = divmod(int(np.argmax(mags)), skew.shape[0])
-    return (r, c) if r < c else (0, 1)
+    return (r, c) if mags[r, c] else (0, 1)
+
+
+def _checked_angle(angle: float) -> float:
+    if not math.isfinite(angle):
+        raise NumericError(f"the step forms a non-finite angle ({angle})")
+    return angle
 
 
 def _update_x(state: OptimizerState, grads, alpha: float) -> None:
@@ -260,9 +271,14 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     skew, so `matrix_expm` takes it to its Taylor core as given.
     """
     alpha = schedule_step(state.schedule, state.k)
-    _update_x(state, grads, alpha)
     w = state.w
-    w[...] = w @ manifold.matrix_expm(_skew(w, grads) * (-alpha / 2.0))
+    rot = manifold.matrix_expm(_skew(w, grads) * (-alpha / 2.0))
+    # NaN if S or alpha * S overflows, or the squarings do (a finite
+    # norm near 2^100 at d=6); one sum of squares sees it
+    if not math.isfinite(np.vdot(rot, rot)):
+        raise NumericError("the step's expm(-alpha * S / 2) is not finite")
+    _update_x(state, grads, alpha)
+    w[...] = w @ rot
     state.k += 1
     if state.reorth_every and state.k % state.reorth_every == 0:
         w[...] = manifold.reorthogonalize(w)
@@ -280,7 +296,6 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     if state.rule is None:
         raise ValueError("srcd_step needs a SelectionRule on the state")
     alpha = schedule_step(state.schedule, state.k)
-    _update_x(state, grads, alpha)
     w = state.w
     d = w.shape[0]
     n_coords = manifold.num_coords(d)
@@ -294,17 +309,24 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
         else:
             j, l = manifold.coord_pair(i, d)
             theta = float(grads.skew[j - 1, l - 1]) / _SQRT2
-        manifold.givens_update(w, i, -alpha * theta, out=w)
+        angle = _checked_angle(-alpha * theta)
+        _update_x(state, grads, alpha)
+        manifold.givens_update(w, i, angle, out=w)
         state.last_coords = (i,)
     elif rule.kind == "gauss_southwell":
         skew = _skew(w, grads)
         r, c = _greedy_pair(skew)
+        angle = _checked_angle(-alpha * (skew[r, c] / _SQRT2))
         i = manifold.coord_index(r + 1, c + 1, d)
-        manifold.givens_update(w, i, -alpha * (skew[r, c] / _SQRT2), out=w)
+        _update_x(state, grads, alpha)
+        manifold.givens_update(w, i, angle, out=w)
         state.last_coords = (i,)
     else:  # block_gs: the picks share no column, so their rotations commute
         v = manifold.skew_partials(_skew(w, grads))
         coords = select_block_gs(v, rule.block_size(n_coords), d)
+        # max|v| is the first pick's, and max takes a NaN the sort skips
+        _checked_angle(alpha * float(np.abs(v).max()))
+        _update_x(state, grads, alpha)
         for i in coords:
             manifold.givens_update(w, i, -alpha * v[i - 1], out=w)
         state.last_coords = tuple(coords)

@@ -20,7 +20,6 @@ def test_profile_single_nonzero():
     assert prof.frac99 == pytest.approx(0.1)
     assert prof.frac95_abs == pytest.approx(0.1)
     assert prof.norm == pytest.approx(2.5)
-    assert prof.sorted_magnitudes.size == 10
 
 
 def test_profile_all_equal():
@@ -39,16 +38,6 @@ def test_profile_hand_computed_two_values():
     # linear masses 5/6 and 1/6: even 95% needs both entries
     assert prof.frac95_abs == pytest.approx(1.0)
     assert prof.norm == pytest.approx(math.sqrt(26.0))
-
-
-def test_profile_sorted_magnitudes_and_mass():
-    v = np.array([0.1, -4.0, 2.0, 0.0])
-    prof = an.sparsity_profile(v)
-    assert np.array_equal(prof.sorted_magnitudes, [4.0, 2.0, 0.1, 0.0])
-    total = 16.0 + 4.0 + 0.01
-    assert np.allclose(prof.cumulative_mass,
-                       np.cumsum([16.0, 4.0, 0.01, 0.0]) / total)
-    assert prof.cumulative_mass[-1] == pytest.approx(1.0)
 
 
 def test_profile_all_zero_convention_and_validation():
@@ -233,10 +222,6 @@ def test_bench_validation():
     with pytest.raises(ValueError):
         an.bench_update("srcd-u", 3)
     with pytest.raises(ValueError):
-        an.bench_update("srcd-u", 8, reps=5)
-    with pytest.raises(ValueError):
-        an.bench_update("srcd-u", 8, warmup=1)
-    with pytest.raises(ValueError):
         an.bench_update("newton", 8)
     with pytest.raises(ValueError):
         an.bench_update("srcd-u", 8, phase="training")
@@ -244,26 +229,17 @@ def test_bench_validation():
 
 @pytest.mark.parametrize("optimizer", an.BENCH_OPTIMIZERS)
 def test_bench_update_runs_and_reports(optimizer):
-    rec = an.bench_update(optimizer, 8, reps=30, warmup=5, batch=2)
-    assert rec.d == 8 and rec.optimizer == optimizer and rec.phase == "update"
-    assert rec.median_s > 0.0
-    assert rec.iqr_s >= 0.0
-    assert rec.mean_s > 0.0
-    assert rec.reps == 30
+    assert an.bench_update(optimizer, 8, batch=2) > 0.0
 
 
 def test_bench_backward_update_phase():
-    rec = an.bench_update("srcd-u", 8, reps=30, warmup=5,
-                          phase="backward_update", batch=2)
-    assert rec.phase == "backward_update"
-    assert rec.median_s > 0.0
-    upd = an.bench_update("srcd-u", 8, reps=30, warmup=5, batch=2)
-    assert upd.median_s < rec.median_s  # update alone is cheaper than BPTT + update
+    both = an.bench_update("srcd-u", 8, phase="backward_update", batch=2)
+    assert both > 0.0
+    upd = an.bench_update("srcd-u", 8, batch=2)
+    assert upd < both  # update alone is cheaper than BPTT + update
     # every step runs on what BPTT hands it: S = antisym(A), or G = W A for sgd
     for optimizer in an.BENCH_OPTIMIZERS:
-        rec = an.bench_update(optimizer, 8, reps=30, warmup=5,
-                              phase="backward_update", batch=2)
-        assert rec.optimizer == optimizer and rec.median_s > 0.0
+        assert an.bench_update(optimizer, 8, phase="backward_update", batch=2) > 0.0
 
 
 def test_loglog_slope_exact_powers():

@@ -67,6 +67,23 @@ def test_coord_round_trip_exhaustive(d):
     assert len(seen) == n
 
 
+@pytest.mark.parametrize("d", [2**16, 10**6])
+def test_coord_pair_boundaries_at_large_d(d):
+    # the first and last coordinate overall, and of rows near the top,
+    # middle and bottom, each round-trips through coord_index
+    n = mf.num_coords(d)
+    assert mf.coord_pair(1, d) == (1, 2)
+    assert mf.coord_pair(n, d) == (d - 1, d)
+    for j in (1, 2, 3, d // 2, d - 3, d - 2, d - 1):
+        first = mf.coord_index(j, j + 1, d)
+        last = mf.coord_index(j, d, d)
+        assert last - first == d - j - 1
+        assert mf.coord_pair(first, d) == (j, j + 1)
+        assert mf.coord_pair(last, d) == (j, d)
+        if j > 1:
+            assert mf.coord_pair(first - 1, d) == (j - 1, d)
+
+
 def test_coord_order_matches_triu():
     d = 12
     rows, cols = np.triu_indices(d, k=1)

@@ -324,8 +324,12 @@ def test_srcd_requires_rule_and_rng():
         optim.srcd_step(state, random_grads(state))
     state = make_state(d=6, rule=optim.SelectionRule("uniform"))
     state.rng = None
-    with pytest.raises(ValueError):
+    w0, x0 = state.w.copy(), state.x["x"].copy()
+    with pytest.raises(ValueError, match="rng"):
         optim.srcd_step(state, random_grads(state))
+    # refused before anything moved
+    assert state.k == 0
+    assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
 
 
 def test_gradpack_needs_g_or_s():
@@ -414,6 +418,65 @@ def test_finite_check_screens_without_changing_the_rule(d):
         index = tuple(rng.integers(0, n) for n in shape)
         with pytest.raises(optim.NumericError):
             _bundle(state, 32 + k, scale=1e200, poison=(block, index, bad))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", list(optim.OPTIMIZERS))
+def test_step_that_overflows_is_refused_and_moves_nothing(name):
+    # every entry of each bundle is finite, so making it passes; the S
+    # or the angle the step forms from it is not: W = I gives S = G - G^T,
+    # whose off-diagonal entries are +-3e308, and alpha = 4 takes the
+    # bundled S of +-1e308 past the largest double
+    kind = optim.OPTIMIZERS[name]
+    d = 6
+    sign = np.triu(np.ones((d, d)), 1)
+    sign -= sign.T
+    for alpha, pack in ((1e-2, optim.GradPack(w=1.5e308 * sign, x={"x": np.ones((3, 3))})),
+                        (4.0, optim.GradPack(skew=1e308 * sign, x={"x": np.ones((3, 3))}))):
+        state = make_state(d=d, alpha=alpha,
+                           rule=None if kind is None else optim.SelectionRule(kind))
+        state.w[...] = np.eye(d)
+        x0 = state.x["x"].copy()
+        with pytest.raises(optim.NumericError):
+            optim.step(state, pack)
+        assert state.k == 0 and state.last_coords == ()
+        assert np.array_equal(state.w, np.eye(d)) and np.array_equal(state.x["x"], x0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_greedy_step_refuses_an_s_with_a_nan_on_its_diagonal():
+    # W rotates columns 1 and 2 by 45 degrees and G's first column is
+    # 1.5e308 (e_1 + e_2): A[0, 0] overflows, S[0, 0] = inf - inf is NaN
+    # and every other entry of S is 0, so the greedy pick lands on it
+    d = 4
+    c = math.sqrt(0.5)
+    w = np.eye(d)
+    w[:2, :2] = [[c, -c], [c, c]]
+    g = np.zeros((d, d))
+    g[:2, 0] = 1.5e308
+    state = optim.OptimizerState(w=w, x={}, schedule=optim.StepSchedule("fixed", 0.1),
+                                 rule=optim.SelectionRule("gauss_southwell"))
+    w0 = w.copy()
+    with pytest.raises(optim.NumericError):
+        optim.srcd_step(state, optim.GradPack(w=g))
+    assert state.k == 0 and np.array_equal(state.w, w0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_dense_step_refuses_an_expm_that_overflows():
+    # -alpha S / 2 is finite, with a 1-norm near 2^100: scaling and
+    # squaring overflows to NaN, and the step refuses before W moves
+    d = 6
+    s = random_grads(make_state(d=d), seed=41).w
+    s -= s.T
+    s *= 2.0 ** 101 / np.abs(s).sum(axis=0).max()
+    state = make_state(d=d, alpha=1.0)
+    w0, x0 = state.w.copy(), state.x["x"].copy()
+    assert not np.isfinite(mf.matrix_expm(s * -0.5)).all()
+    with pytest.raises(optim.NumericError):
+        optim.srgd_step(state, optim.GradPack(skew=s, x={"x": np.ones((3, 3))}))
+    assert state.k == 0
+    assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
 
 
 def test_gradpack_is_frozen_and_keeps_its_sums():

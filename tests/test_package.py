@@ -94,5 +94,5 @@ def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
     assert step_calls() == ["srcd_step"] * 3
     for phase in ("update", "backward_update"):
         for name, want in (("srcd-gs", "srcd_step"), ("srgd", "srgd_step")):
-            analysis.bench_update(name, 8, reps=30, warmup=5, phase=phase, batch=2)
+            analysis.bench_update(name, 8, phase=phase, batch=2)
             assert step_calls() == [want] * 35
