@@ -229,6 +229,10 @@ _TAYLOR = (
 # truncated at degree m by k <= m // 2 (8 at the top degree 17)
 _EVEN = tuple((-1) ** k / math.factorial(2 * k) for k in range(9))
 _ODD = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(9))
+# each squaring doubles the orthogonality defect left before it: j of
+# them leave about 2^j sqrt(d) 2^-55 (measured, d = 6 to 1024), so 20 keep
+# it under ORTHOGONALITY_TOL to d ~ 10^5; ||S||_1 <= 10 needs at most 4
+_MAX_SQUARINGS = 20
 
 
 def _poly(c: tuple, powers: list[np.ndarray]) -> np.ndarray:
@@ -261,14 +265,16 @@ def _expm_skew(s: np.ndarray) -> np.ndarray:
     N^2k = N^k (N^k)^T, so each even power is a SYRK and each odd one a
     GEMM; with both parts evaluated, S times the odd part is the last
     product (m = 3: N and that product; m = 7: N, N^2, N^3 and it).
-    A non-finite S gives NaN throughout."""
+    A non-finite S, or one that needs more than _MAX_SQUARINGS
+    squarings (||S||_1 > theta_17 2^20, about 1e6), gives NaN
+    throughout."""
     norm = float(np.abs(s).sum(axis=0).max(initial=0.0))
     squarings = 0
     for m, theta, p in _TAYLOR:
         if norm <= theta:
             break
     else:
-        if not math.isfinite(norm):
+        if not norm <= theta * 2.0 ** _MAX_SQUARINGS:  # NaN fails it too
             return np.full_like(s, np.nan)
         squarings = math.ceil(math.log2(norm / theta))
         s = s * 2.0 ** -squarings

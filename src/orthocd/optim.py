@@ -15,11 +15,12 @@ coordinate step moves W by Givens rotations alone, never through a
 matrix exponential.  A plain Euclidean `sgd_step` (no orthogonality
 enforcement) is included as the unconstrained baseline.
 
-Every step on O(d) reads S = W^T G - G^T W: srgd uses S/2,
-Gauss-Southwell takes argmax |S| over j < l with theta = S[j,l]/sqrt(2),
-block Gauss-Southwell gathers the partials from S's upper triangle, and
-the uniform step reads theta = S[j,l]/sqrt(2) alone, O(1).  A GradPack
-carries S, G or both.  The train loop hands S alone: BPTT returns
+Every step on O(d) reads S = W^T G - G^T W: srgd uses S/2, the uniform
+step reads theta = S[j,l]/sqrt(2) alone, O(1), and the greedy rules
+make one pass for |S|/sqrt(2), then one argmax of it per pick, with
+theta = S[j,l]/sqrt(2) at each (Gauss-Southwell is block
+Gauss-Southwell with one pick).  A GradPack carries S, G or both.
+The train loop hands S alone: BPTT returns
 A = W^T G (`rnn.Grads`), and S = manifold.antisym(A) costs O(d^2), so
 no d^3 product is paid outside BPTT.  Handed G alone, a step forms
 S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
@@ -66,7 +67,6 @@ __all__ = [
     "StepSchedule",
     "SyntheticProblem",
     "schedule_step",
-    "select_block_gs",
     "select_uniform",
     "sgd_step",
     "srcd_step",
@@ -218,30 +218,34 @@ def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
     return manifold.skew_grad(w, grads.w) if grads.skew is None else grads.skew
 
 
-def _greedy_pair(skew: np.ndarray) -> tuple[int, int]:
-    """The 0-based column pair of the greedy coordinate
-    argmax_i |skew_partials(S)_i| (ties to the smallest i), without the
-    gather.
+def _greedy_pairs(skew: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """The 0-based column pairs of min(n, d // 2) greedy coordinates
+    sharing no column: each is argmax_i |skew_partials(S)_i| over the
+    coordinates that no earlier pick touches, ties to the smallest i.
 
     |S|/sqrt(2) holds the partials' magnitudes bitwise (dividing first
-    keeps ties that the rounding of the division creates).  It is
-    symmetric with a zero diagonal, so the first row-major maximum of
-    the whole matrix lies in the upper triangle, where row-major order
-    is the coordinate order: ties go to the smallest coordinate.  An
-    all-zero S gives coordinate 1, the pair (0, 1).  argmax takes the
-    first NaN, so an S holding one gives a pair whose entry is NaN, on
-    the diagonal too, and the step refuses it.
+    keeps ties that the division's rounding makes).  Each pick sets its
+    rows and columns to -1, so the matrix stays symmetric and its first
+    row-major maximum lies in the upper triangle, in coordinate order.
+    A finite S's diagonal is 0, so it wins only a tie at 0, where the
+    rest is zero too: then the diagonal is set to -1 and the pick taken
+    again, and an all-zero S gives coordinate 1 first.  argmax takes the
+    first NaN, on the diagonal too, and the step refuses its angle.
     """
+    d = skew.shape[0]
     mags = np.abs(skew)
     mags /= _SQRT2
-    r, c = divmod(int(np.argmax(mags)), skew.shape[0])
-    return (r, c) if mags[r, c] else (0, 1)
-
-
-def _checked_angle(angle: float) -> float:
-    if not math.isfinite(angle):
-        raise NumericError(f"the step forms a non-finite angle ({angle})")
-    return angle
+    pairs: list[tuple[int, int]] = []
+    for _ in range(min(n, d // 2)):
+        if pairs:
+            r, c = pairs[-1]
+            mags[r] = mags[c] = mags[:, r] = mags[:, c] = -1.0
+        r, c = divmod(int(np.argmax(mags)), d)
+        if r == c and mags[r, c] == 0.0:
+            mags.reshape(-1)[:: d + 1] = -1.0
+            r, c = divmod(int(np.argmax(mags)), d)
+        pairs.append((r, c))
+    return pairs
 
 
 def _update_x(state: OptimizerState, grads, alpha: float) -> None:
@@ -273,8 +277,9 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     alpha = schedule_step(state.schedule, state.k)
     w = state.w
     rot = manifold.matrix_expm(_skew(w, grads) * (-alpha / 2.0))
-    # NaN if S or alpha * S overflows, or the squarings do (a finite
-    # norm near 2^100 at d=6); one sum of squares sees it
+    # NaN if S or alpha * S overflows, or if it needs more squarings
+    # than keep W on O(d) (||alpha S / 2||_1 past about 1e6); one sum of
+    # squares sees it
     if not math.isfinite(np.vdot(rot, rot)):
         raise NumericError("the step's expm(-alpha * S / 2) is not finite")
     _update_x(state, grads, alpha)
@@ -286,12 +291,13 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
 
 
 def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """Coordinate step per the state's selection rule.
+    """Coordinate step per the state's selection rule: pick, then check
+    every angle, update X and rotate W's picked column pairs.
 
-    The W update reads and writes only the affected column pairs.  With
-    the uniform rule the whole W path is O(d): one partial derivative,
+    The uniform rule draws one coordinate and reads its partial alone,
     S[j,l]/sqrt(2) when S is bundled and two columns of W and G
-    otherwise, then one Givens rotation.
+    otherwise: its whole W path is O(d).  Gauss-Southwell takes one
+    greedy pick from S, block Gauss-Southwell rule.block_size(D).
     """
     if state.rule is None:
         raise ValueError("srcd_step needs a SelectionRule on the state")
@@ -299,6 +305,8 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     w = state.w
     d = w.shape[0]
     n_coords = manifold.num_coords(d)
+    if n_coords < 1:
+        raise ValueError(f"a coordinate step needs d >= 2, got d = {d}")
     rule = state.rule
     if rule.kind == "uniform":
         if state.rng is None:
@@ -309,27 +317,21 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
         else:
             j, l = manifold.coord_pair(i, d)
             theta = float(grads.skew[j - 1, l - 1]) / _SQRT2
-        angle = _checked_angle(-alpha * theta)
-        _update_x(state, grads, alpha)
-        manifold.givens_update(w, i, angle, out=w)
-        state.last_coords = (i,)
-    elif rule.kind == "gauss_southwell":
+        coords, angles = (i,), [-alpha * theta]
+    else:  # the picks share no column, so their rotations commute
         skew = _skew(w, grads)
-        r, c = _greedy_pair(skew)
-        angle = _checked_angle(-alpha * (skew[r, c] / _SQRT2))
-        i = manifold.coord_index(r + 1, c + 1, d)
-        _update_x(state, grads, alpha)
+        n = 1 if rule.kind == "gauss_southwell" else rule.block_size(n_coords)
+        pairs = _greedy_pairs(skew, n)
+        angles = [-alpha * (skew[r, c] / _SQRT2) for r, c in pairs]
+        # mapped once the angles pass: a NaN pick may sit on the diagonal
+        coords = (manifold.coord_index(r + 1, c + 1, d) for r, c in pairs)
+    if not all(map(math.isfinite, angles)):
+        raise NumericError("the step forms a non-finite angle")
+    coords = tuple(coords)
+    _update_x(state, grads, alpha)
+    for i, angle in zip(coords, angles):
         manifold.givens_update(w, i, angle, out=w)
-        state.last_coords = (i,)
-    else:  # block_gs: the picks share no column, so their rotations commute
-        v = manifold.skew_partials(_skew(w, grads))
-        coords = select_block_gs(v, rule.block_size(n_coords), d)
-        # max|v| is the first pick's, and max takes a NaN the sort skips
-        _checked_angle(alpha * float(np.abs(v).max()))
-        _update_x(state, grads, alpha)
-        for i in coords:
-            manifold.givens_update(w, i, -alpha * v[i - 1], out=w)
-        state.last_coords = tuple(coords)
+    state.last_coords = coords
     state.k += 1
     return state
 
@@ -358,39 +360,6 @@ def select_uniform(rng: np.random.Generator, n_coords: int) -> int:
     if n_coords < 1:
         raise ValueError("n_coords must be >= 1")
     return int(rng.integers(1, n_coords + 1))
-
-
-def select_block_gs(partials: np.ndarray, block_size: int, d: int) -> list[int]:
-    """Top coordinates by |v_i| that share no column, in descending
-    order; ties go to the smaller coordinate.
-
-    A coordinate sharing a column with an earlier pick is skipped.  At
-    most d // 2 such pairs exist, so the walk stops at
-    min(block_size, d // 2) picks and the result may be shorter than
-    block_size.  Positions map to column pairs through manifold's
-    row-major triangle index, the one skew_partials gathers with.
-    """
-    v = np.asarray(partials)
-    n_coords = manifold.num_coords(d)
-    if v.shape != (n_coords,):
-        raise ValueError(f"expected {n_coords} partials for d={d}, "
-                         f"got shape {v.shape}")
-    if not (1 <= block_size <= n_coords):
-        raise ValueError(f"block_size {block_size} out of range 1..{n_coords}")
-    order = np.argsort(-np.abs(v), kind="stable")
-    rows, cols = manifold._triu_indices(d)
-    picks = min(block_size, d // 2)
-    chosen: list[int] = []
-    used = [False] * d
-    for i0, j0, l0 in zip(order.tolist(), rows[order].tolist(),
-                          cols[order].tolist()):
-        if used[j0] or used[l0]:
-            continue
-        used[j0] = used[l0] = True
-        chosen.append(i0 + 1)
-        if len(chosen) == picks:
-            break
-    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,25 @@ def select_gauss_southwell(partials: np.ndarray) -> int:
     return int(np.argmax(np.abs(v))) + 1
 
 
+def naive_block_gs(v: np.ndarray, b: int, d: int) -> list[int]:
+    """Block Gauss-Southwell by its definition: walk the coordinates in
+    order of descending |v_i|, ties to the smaller i, and keep each one
+    that shares no column with an earlier pick, stopping only at b
+    picks (so at most d // 2).  The reference for the step's greedy
+    selector."""
+    order = sorted(range(v.size), key=lambda i: (-abs(v[i]), i))
+    used, want = set(), []
+    for i0 in order:
+        j, l = manifold.coord_pair(i0 + 1, d)
+        if j in used or l in used:
+            continue
+        used.update((j, l))
+        want.append(i0 + 1)
+        if len(want) == b:
+            break
+    return want
+
+
 def central_diff(f, arr: np.ndarray, idx, h: float = 1e-6) -> float:
     """Central finite difference of the scalar f() in the arr[idx]
     direction; restores the entry afterwards."""

@@ -6,7 +6,8 @@ import pytest
 from orthocd import manifold as mf
 from orthocd import optim, rnn
 
-from oracles import central_diff, dense_basis, select_gauss_southwell, taylor_expm
+from oracles import (central_diff, dense_basis, naive_block_gs, select_gauss_southwell,
+                     taylor_expm)
 
 
 def random_w(d, seed=0):
@@ -128,55 +129,69 @@ def test_select_gauss_southwell():
         select_gauss_southwell(np.array([]))
 
 
-def naive_block_gs(v, b, d):
-    # disjoint greedy over the sorted list, stopping only at b picks
-    order = sorted(range(v.size), key=lambda i: (-abs(v[i]), i))
-    used, want = set(), []
-    for i0 in order:
-        j, l = mf.coord_pair(i0 + 1, d)
-        if j in used or l in used:
-            continue
-        used.update((j, l))
-        want.append(i0 + 1)
-        if len(want) == b:
-            break
-    return want
+def _skew_from(upper):
+    # the exactly skew S whose strict upper triangle is `upper`'s
+    upper = np.triu(upper, 1)
+    return upper - upper.T
+
+
+def _block_step(skew, b, alpha=0.1):
+    # one block Gauss-Southwell step from W = I on the bundled S, with
+    # block_size(D) = b
+    d = skew.shape[0]
+    n = mf.num_coords(d)
+    rule = optim.SelectionRule("block_gs", block_fraction=b / n)
+    assert rule.block_size(n) == b
+    state = optim.OptimizerState(w=np.eye(d), x={},
+                                 schedule=optim.StepSchedule("fixed", alpha), rule=rule)
+    optim.srcd_step(state, optim.GradPack(skew=skew))
+    return state
 
 
 def test_select_block_gs_against_naive():
     rng = np.random.default_rng(1)
     for _ in range(20):
         d = int(rng.integers(4, 14))
+        skew = _skew_from(rng.standard_normal((d, d)))
+        b = int(rng.integers(1, min(mf.num_coords(d), 8) + 1))
+        v = mf.skew_partials(skew)
+        state = _block_step(skew, b)
+        assert state.last_coords == tuple(naive_block_gs(v, b, d))
+        want = np.eye(d)
+        for i in state.last_coords:
+            want = mf.givens_update(want, i, -0.1 * v[i - 1])
+        assert np.array_equal(state.w, want)
+    # block sizes from 1 to D, past d // 2 where the walk runs out of
+    # columns; rounded entries make exact ties, a sparse S leaves only
+    # zeros after a few picks, and an all-zero S ties every coordinate
+    for d in (7, 8, 9, 64):
         n = mf.num_coords(d)
-        v = rng.standard_normal(n)
-        b = int(rng.integers(1, min(n, 8) + 1))
-        assert optim.select_block_gs(v, b, d) == naive_block_gs(v, b, d)
-    # b >= d/2, where the walk stops at d // 2 picks, up to b = D; rounded
-    # magnitudes make exact ties
-    for d in (8, 9, 64):
-        n = mf.num_coords(d)
-        v = np.round(rng.standard_normal(n), 1)
-        bs = range(d // 2, n + 1) if d < 64 else (32, 33, 100, 1000, n - 1, n)
-        for b in bs:
-            assert optim.select_block_gs(v, b, d) == naive_block_gs(v, b, d)
-
-
-def test_select_block_gs_rejects_wrong_partials_length():
-    d = 8
-    n = mf.num_coords(d)
-    for size in (n - 1, n + 1):
-        with pytest.raises(ValueError, match="partials"):
-            optim.select_block_gs(np.ones(size), 1, d)
+        bs = range(1, n + 1) if d < 64 else (1, 2, 31, 32, 33, 100, 1000, n - 1, n)
+        sparse = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.1)
+        for skew in (_skew_from(np.round(rng.standard_normal((d, d)), 1)),
+                     _skew_from(sparse), np.zeros((d, d))):
+            v = mf.skew_partials(skew)
+            for b in bs:
+                assert _block_step(skew, b).last_coords == tuple(naive_block_gs(v, b, d))
+    # adjacent doubles that dividing by sqrt(2) rounds to one partial
+    # (as in test_skew_picks_ties_and_zero_gradient)
+    merged = np.zeros((6, 6))
+    merged[0, 4], merged[1, 3] = 1.5000000000000004, 1.5000000000000007
+    skew = _skew_from(merged)
+    for b in range(1, 16):
+        want = tuple(naive_block_gs(mf.skew_partials(skew), b, 6))
+        assert _block_step(skew, b).last_coords == want
+    assert want[0] == 4  # coordinate (1, 5) before the larger |S| of (2, 4)
 
 
 def test_select_block_gs_never_shares_columns():
     rng = np.random.default_rng(2)
     d = 9
-    v = rng.standard_normal(mf.num_coords(d))
-    coords = optim.select_block_gs(v, mf.num_coords(d), d)
+    coords = _block_step(_skew_from(rng.standard_normal((d, d))),
+                         mf.num_coords(d)).last_coords
     cols = [c for i in coords for c in mf.coord_pair(i, d)]
     assert len(cols) == len(set(cols))
-    assert len(coords) <= d // 2
+    assert len(coords) == d // 2
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +307,7 @@ def test_srcd_block_gs_applies_selected_block():
     grads = random_grads(state, seed=13)
     w0 = state.w.copy()
     v = mf.all_partials(w0, grads.w)
-    coords = optim.select_block_gs(v, rule.block_size(mf.num_coords(8)), 8)
+    coords = naive_block_gs(v, rule.block_size(mf.num_coords(8)), 8)
     want = w0.copy()
     for i in coords:
         want = mf.givens_update(want, i, -0.01 * v[i - 1])
@@ -330,6 +345,13 @@ def test_srcd_requires_rule_and_rng():
     # refused before anything moved
     assert state.k == 0
     assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
+    # O(1) has no coordinate to step along, whatever the rule
+    for kind in ("uniform", "gauss_southwell", "block_gs"):
+        state = make_state(d=1, rule=optim.SelectionRule(kind))
+        x0 = state.x["x"].copy()
+        with pytest.raises(ValueError, match="d >= 2"):
+            optim.srcd_step(state, optim.GradPack(w=np.ones((1, 1)), x=state.x))
+        assert state.k == 0 and np.array_equal(state.x["x"], x0)
 
 
 def test_gradpack_needs_g_or_s():
@@ -444,10 +466,12 @@ def test_step_that_overflows_is_refused_and_moves_nothing(name):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_greedy_step_refuses_an_s_with_a_nan_on_its_diagonal():
+@pytest.mark.parametrize("kind", ["gauss_southwell", "block_gs"])
+def test_greedy_step_refuses_an_s_with_a_nan_on_its_diagonal(kind):
     # W rotates columns 1 and 2 by 45 degrees and G's first column is
     # 1.5e308 (e_1 + e_2): A[0, 0] overflows, S[0, 0] = inf - inf is NaN
-    # and every other entry of S is 0, so the greedy pick lands on it
+    # and every other entry of S is 0, so the first greedy pick lands on
+    # it; the block rule would have 2 picks
     d = 4
     c = math.sqrt(0.5)
     w = np.eye(d)
@@ -455,7 +479,7 @@ def test_greedy_step_refuses_an_s_with_a_nan_on_its_diagonal():
     g = np.zeros((d, d))
     g[:2, 0] = 1.5e308
     state = optim.OptimizerState(w=w, x={}, schedule=optim.StepSchedule("fixed", 0.1),
-                                 rule=optim.SelectionRule("gauss_southwell"))
+                                 rule=optim.SelectionRule(kind, block_fraction=0.5))
     w0 = w.copy()
     with pytest.raises(optim.NumericError):
         optim.srcd_step(state, optim.GradPack(w=g))
@@ -477,6 +501,31 @@ def test_dense_step_refuses_an_expm_that_overflows():
         optim.srgd_step(state, optim.GradPack(skew=s, x={"x": np.ones((3, 3))}))
     assert state.k == 0
     assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
+
+
+@pytest.mark.parametrize("d", [6, 64])
+def test_dense_step_refuses_more_squarings_than_keep_w_orthogonal(d):
+    # a finite -alpha S / 2 past theta_17 2^_MAX_SQUARINGS in 1-norm would
+    # square its rounding defect off O(d) (at d=6, 2^30 left 3e-7 and
+    # 2^50 left 0.35); the expm is NaN there and the step refuses it,
+    # while a norm just under the cap keeps the defect <= 1e-8
+    s = random_grads(make_state(d=d), seed=42).w
+    s -= s.T
+    s /= np.abs(s).sum(axis=0).max()
+    cap = mf._TAYLOR[-1][1] * 2.0 ** mf._MAX_SQUARINGS
+    g_x = {"x": np.ones((3, 3))}
+    for norm in (2.0 ** 30, 2.0 ** 50, cap * (1 + 1e-13)):
+        state = make_state(d=d, alpha=1.0)
+        w0, x0 = state.w.copy(), state.x["x"].copy()
+        assert np.isnan(mf.matrix_expm(s * -norm)).all()
+        with pytest.raises(optim.NumericError):
+            optim.srgd_step(state, optim.GradPack(skew=s * (2.0 * norm), x=g_x))
+        assert state.k == 0
+        assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
+    state = make_state(d=d, alpha=1.0)
+    optim.srgd_step(state, optim.GradPack(skew=s * (2.0 * cap * (1 - 1e-13)), x=g_x))
+    assert state.k == 1
+    assert mf.orthogonality_defect(state.w) <= 1e-8
 
 
 def test_gradpack_is_frozen_and_keeps_its_sums():
@@ -523,7 +572,7 @@ def test_skew_picks_match_all_partials(d):
         if rule.kind == "gauss_southwell":
             coords = [select_gauss_southwell(v)]
         else:
-            coords = optim.select_block_gs(v, rule.block_size(v.size), d)
+            coords = naive_block_gs(v, rule.block_size(v.size), d)
         want = w0.copy()
         for i in coords:
             want = mf.givens_update(want, i, -alpha * v[i - 1])
@@ -580,7 +629,7 @@ def test_skew_picks_ties_and_zero_gradient(kind):
         if kind == "gauss_southwell":
             want = (select_gauss_southwell(v),)
         else:
-            want = tuple(optim.select_block_gs(v, rule.block_size(v.size), d))
+            want = tuple(naive_block_gs(v, rule.block_size(v.size), d))
         state = optim.OptimizerState(w=np.eye(d), x={},
                                      schedule=optim.StepSchedule("fixed", 0.1),
                                      rule=rule)

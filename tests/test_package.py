@@ -48,6 +48,28 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert missing == []
 
 
+def test_benchmark_probes_pass_their_checks(monkeypatch):
+    # perfbench's step probes hand GradPack(w=G), build OptimizerState by
+    # keyword and read last_coords; check_first steps each probe once and
+    # runs the rotation, greedy-choice and dense-step checks on the result.
+    # Its worker module is loaded from the file, unchanged; it puts
+    # perfbench/ on sys.path and imports its siblings, taken out again after
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(worker)
+        for d in (8, 16, 64):
+            ledger = worker.Ledger()
+            worker.Probes(optim, d, seed=0).check_first(ledger)
+            assert (ledger.attempted, ledger.failed) == (7, 0), d
+    finally:
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "").parent == bench:
+                del sys.modules[name]
+
+
 def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
     # perfbench times a layer by swapping its module attribute, so a step
     # that reaches the function any other way leaves that layer at 0:
