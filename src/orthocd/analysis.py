@@ -186,8 +186,7 @@ def bench_update(optimizer: str, d: int, phase: str = "update",
     kind = optim.OPTIMIZERS.get(optimizer)
     state = optim.OptimizerState.for_rnn(
         params, optim.StepSchedule("fixed", 2e-4),
-        rule=None if kind is None else optim.SelectionRule(kind), seed=0,
-        reorth_every=None)
+        rule=None if kind is None else optim.SelectionRule(kind), seed=0)
     step = optim.sgd_step if optimizer == "sgd" else optim.step
 
     if phase == "update":

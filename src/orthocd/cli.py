@@ -71,7 +71,6 @@ class ExperimentConfig:
     # [optimizer]
     optimizer: str = "srcd-gs"  # a name in optim.OPTIMIZERS
     block_fraction: float = 0.005
-    reorth_every: int = 1000
     # [schedule]
     schedule: str = "fixed"     # fixed | polynomial
     alpha0: float = 2e-4
@@ -91,7 +90,7 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "task": ("preset", "alphabet", "copy_len", "lag", "batch", "d", "mask"),
-    "optimizer": ("optimizer", "block_fraction", "reorth_every"),
+    "optimizer": ("optimizer", "block_fraction"),
     "schedule": ("schedule", "alpha0", "power", "offset", "robbins_monro"),
     "run": ("iterations", "seed", "out"),
     "convergence": ("conv_d", "noise_std", "conv_seeds", "x_dim"),
@@ -116,21 +115,19 @@ def _coerce(key: str, raw: str):
         if ftype == "float":
             return float(raw)
         if ftype == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            if raw.lower() not in ConfigParser.BOOLEAN_STATES:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return ConfigParser.BOOLEAN_STATES[raw.lower()]
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
 def parse_config(path: str | None = None,
-                 overrides: dict[str, str] | None = None) -> ExperimentConfig:
+                 overrides: dict[str, object] | None = None) -> ExperimentConfig:
     """Resolve a config: defaults, then preset, then file keys, then
-    flag overrides."""
+    flag overrides.  An override is its text, or a typed value that its
+    text reads back as."""
     file_vals: dict[str, object] = {}
     if path is not None:
         # no interpolation: config.ini files hold values verbatim, "%" too
@@ -154,7 +151,12 @@ def parse_config(path: str | None = None,
     for key, raw in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        flag_vals[key] = raw if not isinstance(raw, str) else _coerce(key, raw)
+        # a typed value goes in by its text and must be what that text
+        # reads as, so 64.0 is no d, True no seed and 5 no out
+        value = _coerce(key, str(raw))
+        if raw not in (value, str(raw)):
+            raise ConfigError(f"bad value for {key}: {raw!r} reads back as {value!r}")
+        flag_vals[key] = value
 
     preset = flag_vals.get("preset", file_vals.get("preset", "desk"))
     if preset not in _PRESETS:
@@ -173,7 +175,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.mask not in ("full", "recall"):
         raise ConfigError(f"unknown mask mode {cfg.mask!r}")
-    for key in ("iterations", "seed", "reorth_every"):
+    for key in ("iterations", "seed"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0")
     if cfg.seed >= 2**64:  # the checkpoint header stores it as a u64
@@ -339,8 +341,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     schedule = _schedule_from(cfg)
     kind = optim.OPTIMIZERS[cfg.optimizer]
     rule = None if kind is None else optim.SelectionRule(kind, cfg.block_fraction)
-    state = optim.OptimizerState.for_rnn(
-        params, schedule, rule=rule, seed=[cfg.seed, 2], reorth_every=cfg.reorth_every)
+    state = optim.OptimizerState.for_rnn(params, schedule, rule=rule, seed=[cfg.seed, 2])
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
     losses = np.empty(cfg.iterations)

@@ -30,7 +30,7 @@ are checked at the trust boundary, W^T W = I when a checkpoint is saved
 or loaded (`rnn.RnnParams.check`), and by the tests.  The checks left
 here guard one call's own input: `matrix_expm` rejects a non-skew
 matrix by one rule, SKEW_TOL, and through it `exp_map` a non-tangent
-xi; `reorthogonalize` rejects a gross defect.
+xi.
 
 Thread policy.  Every product of this module runs on numpy's one
 OpenBLAS pool; `matrix_expm` is numpy products too (scaling and squaring
@@ -59,7 +59,6 @@ __all__ = [
     "orthogonality_defect",
     "partial_derivative",
     "random_orthogonal",
-    "reorthogonalize",
     "skew_grad",
     "skew_partials",
 ]
@@ -354,7 +353,7 @@ def givens_update(
 
 
 # ---------------------------------------------------------------------------
-# repair and sampling
+# sampling
 # ---------------------------------------------------------------------------
 
 def _qr_sign_fixed(a: np.ndarray) -> np.ndarray:
@@ -364,29 +363,6 @@ def _qr_sign_fixed(a: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def reorthogonalize(w: np.ndarray) -> np.ndarray:
-    """Repair accumulated drift: QR with the sign of diag(R) fixed to +1
-    (making the factor unique), then Newton-Schulz polish iterations
-    until the defect reaches 1e-14 or the f64 floor for that dimension.
-
-    Inputs with defect above 0.5 signal upstream corruption and raise.
-    """
-    w = _check_square(w)
-    d = w.shape[0]
-    defect = orthogonality_defect(w)
-    if defect > 0.5:
-        raise ValueError(
-            f"gross non-orthogonality (defect {defect:.3e} > 0.5); refusing to repair"
-        )
-    q = _qr_sign_fixed(w)
-    eye = np.eye(d)
-    for _ in range(2):
-        if orthogonality_defect(q) <= 1e-14:
-            break
-        q = q @ (1.5 * eye - 0.5 * (q.T @ q))
-    return q
 
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:

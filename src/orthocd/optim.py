@@ -188,10 +188,9 @@ class OptimizerState:
 
     `w` and the arrays in `x` are mutated in place, so a state built
     with for_rnn() updates the RnnParams it was built from.  `rng`
-    drives uniform coordinate selection only.  `reorth_every` is the
-    SRGD drift policy (QR repair every so many steps, None disables);
-    srcd_step never reorthogonalizes, Givens products stay orthogonal
-    to rounding on their own.
+    drives uniform coordinate selection only.  No step reorthogonalizes:
+    Givens and expm products leave O(d) only by rounding, and a
+    checkpoint save checks W's defect.
     """
 
     w: np.ndarray
@@ -200,17 +199,21 @@ class OptimizerState:
     rule: SelectionRule | None = None
     k: int = 0
     rng: np.random.Generator | None = None
-    reorth_every: int | None = 1000
+    # only because perfbench/worker.py passes reorth_every=None; goes
+    # with that line in the next benchmark change (ROADMAP item 1)
+    reorth_every: None = None
     last_coords: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.reorth_every is not None:
+            raise ValueError("reorth_every is retired: no step reorthogonalizes")
 
     @classmethod
     def for_rnn(cls, params, schedule: StepSchedule,
                 rule: SelectionRule | None = None,
-                seed: int | None = None,
-                reorth_every: int | None = 1000) -> "OptimizerState":
+                seed: int | None = None) -> "OptimizerState":
         return cls(w=params.w, x=params.x_blocks(), schedule=schedule,
-                   rule=rule, rng=np.random.default_rng(seed),
-                   reorth_every=reorth_every)
+                   rule=rule, rng=np.random.default_rng(seed))
 
 
 def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
@@ -285,8 +288,6 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     _update_x(state, grads, alpha)
     w[...] = w @ rot
     state.k += 1
-    if state.reorth_every and state.k % state.reorth_every == 0:
-        w[...] = manifold.reorthogonalize(w)
     return state
 
 
@@ -465,5 +466,4 @@ class SyntheticProblem:
               seed: int = 0) -> OptimizerState:
         x0, w0 = self.init(seed)
         return OptimizerState(w=w0, x={"x": x0}, schedule=schedule, rule=rule,
-                              rng=np.random.default_rng(seed + 1),
-                              reorth_every=None)
+                              rng=np.random.default_rng(seed + 1))

@@ -126,6 +126,52 @@ def test_former_bench_interface_is_refused(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_retired_reorth_every_is_refused(tmp_path, monkeypatch, capsys):
+    # no step reorthogonalizes, so the key that scheduled srgd's repair
+    # is gone: a config.ini written while it existed, and the flag, are
+    # refused as unknown, with exit 1 and no run dir
+    ini = cli.config_to_ini(cli.parse_config(overrides=_overrides(TINY)))
+    old = tmp_path / "old.ini"
+    old.write_text(ini.replace("\n\n[schedule]", "\nreorth_every = 1000\n\n[schedule]"))
+    assert "block_fraction = 0.005\nreorth_every = 1000\n" in old.read_text()
+    assert run_main(["train", "--config", str(old)], tmp_path, monkeypatch) == 1
+    assert "unknown key 'reorth_every' in section [optimizer]" in capsys.readouterr().err
+    for raw in ("5", "-1"):
+        assert run_main(["train", *TINY, "--optimizer", "srgd", "--reorth_every", raw],
+                        tmp_path, monkeypatch) == 1
+    assert not (tmp_path / "runs").exists()
+    # the state keeps the keyword perfbench's probes pass, for None only
+    schedule = optim.StepSchedule("fixed", 1e-3)
+    assert optim.OptimizerState(w=np.eye(4), x={}, schedule=schedule,
+                                reorth_every=None).reorth_every is None
+    with pytest.raises(ValueError, match="reorth_every"):
+        optim.OptimizerState(w=np.eye(4), x={}, schedule=schedule, reorth_every=5)
+
+
+def test_typed_overrides_are_read_by_their_text(tmp_path):
+    # a library caller's typed value must be the value its text reads as
+    for overrides in ({"d": 64.0}, {"iterations": 2.5}, {"seed": True}, {"out": 5}):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(overrides=overrides)
+    # the acceptance suite's dicts resolve as their text does, field by
+    # field and type by type, and round-trip through config.ini
+    convergence = {"conv_d": 16, "x_dim": 4, "noise_std": 0.1, "seed": 0,
+                   "schedule": "polynomial", "alpha0": 1.0, "power": 0.75,
+                   "offset": 1000.0, "robbins_monro": True, "iterations": 100_000}
+    typed = [convergence, {**convergence, "noise_std": 0.0}]
+    typed += [{"preset": "desk", "optimizer": opt, "block_fraction": 0.005,
+               "schedule": "fixed", "alpha0": 2e-4, "iterations": 501, "seed": seed}
+              for opt in optim.OPTIMIZERS for seed in (0, 2)]
+    path = tmp_path / "typed.ini"
+    for overrides in typed:
+        cfg = cli.parse_config(overrides=overrides)
+        text = cli.parse_config(overrides={k: str(v) for k, v in overrides.items()})
+        assert [(type(v), v) for v in dataclasses.astuple(cfg)] == \
+            [(type(v), v) for v in dataclasses.astuple(text)]
+        path.write_text(cli.config_to_ini(cfg))
+        assert cli.parse_config(str(path)) == cfg
+
+
 def test_bool_coercion():
     for raw, want in (("true", True), ("Yes", True), ("1", True),
                       ("false", False), ("off", False), ("0", False)):
@@ -394,6 +440,31 @@ def test_failed_run_is_marked(tmp_path, monkeypatch):
     assert "error" in meta
 
 
+def test_train_refuses_to_save_a_w_pushed_off_the_manifold(tmp_path, monkeypatch):
+    # no step repairs W now; a defect above 0.5, the most the retired
+    # repair took, is refused at the checkpoint's 1e-8 check
+    real_step = optim.srgd_step
+    defects = []
+
+    def push_off(state, grads):
+        real_step(state, grads)
+        if state.k == 3:
+            state.w *= 2.0
+            defects.append(manifold.orthogonality_defect(state.w))
+        return state
+
+    monkeypatch.setattr(optim, "srgd_step", push_off)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="W is not orthogonal"):
+        run_main(["train", *TINY, "--optimizer", "srgd", "--out", str(out)],
+                 tmp_path, monkeypatch)
+    assert defects[0] > 0.5
+    assert not (out / "checkpoint.bin").exists()
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == "failed"
+    assert meta["error"].startswith("ValueError: W is not orthogonal")
+
+
 @pytest.mark.parametrize("exc, status", [(RuntimeError, "failed"),
                                          (KeyboardInterrupt, "interrupted")])
 def test_uncaught_error_marks_run(exc, status, tmp_path, monkeypatch):
@@ -551,7 +622,6 @@ def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
     ["train", *TINY, "--schedule", "cosine"],  # refused by optim.StepSchedule
     ["train", *TINY, "--seed", "-1"],
     ["train", *TINY, "--seed", str(2**64)],  # past the checkpoint's u64
-    ["train", *TINY, "--optimizer", "srgd", "--reorth_every", "-1"],
 ])
 def test_non_finite_values_exit_1_without_a_run_dir(args, tmp_path, monkeypatch):
     assert run_main(args, tmp_path, monkeypatch) == 1

@@ -499,24 +499,8 @@ def test_orthogonality_defect_makes_no_identity():
 
 
 # ---------------------------------------------------------------------------
-# repair
+# sampling
 # ---------------------------------------------------------------------------
-
-def test_reorthogonalize_repairs_and_rejects():
-    rng = np.random.default_rng(29)
-    q = mf.random_orthogonal(40, rng)
-    drifted = q + 1e-4 * rng.standard_normal((40, 40))
-    fixed = mf.reorthogonalize(drifted)
-    assert mf.orthogonality_defect(fixed) <= 1e-14
-    assert np.linalg.norm(fixed - q) <= 1e-2
-    with pytest.raises(ValueError):
-        mf.reorthogonalize(2.0 * q)  # defect above the 0.5 repair limit
-
-
-def test_reorthogonalize_at_larger_dimension():
-    q = random_w(190, seed=30)
-    assert mf.orthogonality_defect(mf.reorthogonalize(1.0000001 * q)) <= 1e-14
-
 
 def test_random_orthogonal_is_haar_on_both_components():
     dets = set()
