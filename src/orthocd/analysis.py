@@ -83,7 +83,7 @@ def decade_edges(values: np.ndarray) -> np.ndarray:
     nz = mags[mags > 0]
     if nz.size == 0:
         return 10.0 ** np.arange(-16.0, 1.0)
-    lo = math.floor(math.log10(nz.min()))
+    lo = max(math.floor(math.log10(nz.min())), -323)  # 10.0**-324 is 0.0: underflow
     hi = math.ceil(math.log10(nz.max()))
     if hi == lo:
         hi += 1

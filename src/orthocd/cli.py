@@ -222,16 +222,12 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 # run directories and artifacts
 # ---------------------------------------------------------------------------
 
-def _out_root() -> Path:
-    return Path(os.environ.get("ORTHOCD_RUNS", "runs"))
-
-
 def _run_dir(command: str, cfg: ExperimentConfig) -> Path:
     if cfg.out:
         return Path(cfg.out)
     digest = hashlib.sha256(
         (command + "\n" + config_to_ini(cfg)).encode()).hexdigest()[:10]
-    return _out_root() / f"{command}-s{cfg.seed}-{digest}"
+    return Path(os.environ.get("ORTHOCD_RUNS", "runs")) / f"{command}-s{cfg.seed}-{digest}"
 
 
 @functools.cache
@@ -586,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         _mark_stopped(rundir, "failed", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (optim.NumericError, FloatingPointError) as exc:
+    except (optim.NumericError, FloatingPointError, OverflowError) as exc:
         _mark_stopped(rundir, "failed", exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

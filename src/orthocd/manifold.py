@@ -356,15 +356,11 @@ def givens_update(
 # sampling
 # ---------------------------------------------------------------------------
 
-def _qr_sign_fixed(a: np.ndarray) -> np.ndarray:
-    """Q of a = QR with the signs of diag(R) fixed to +1 (a zero counts
-    as +1), which makes the factor unique."""
-    q, r = np.linalg.qr(a)
+def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random orthogonal matrix: Q of a standard normal
+    A = QR with the signs of diag(R) fixed to +1 (a zero counts as +1),
+    which makes the factor unique."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random orthogonal matrix (QR with sign fix)."""
-    return _qr_sign_fixed(rng.standard_normal((d, d)))

@@ -19,10 +19,10 @@ Every step on O(d) reads S = W^T G - G^T W: srgd uses S/2, the uniform
 step reads theta = S[j,l]/sqrt(2) alone, O(1), and the greedy rules
 make one pass for |S|/sqrt(2), then one argmax of it per pick, with
 theta = S[j,l]/sqrt(2) at each (Gauss-Southwell is block
-Gauss-Southwell with one pick).  A GradPack carries S, G or both.
-The train loop hands S alone: BPTT returns
+Gauss-Southwell with one pick).  A GradPack carries G or S, never
+both.  The train loop hands S: BPTT returns
 A = W^T G (`rnn.Grads`), and S = manifold.antisym(A) costs O(d^2), so
-no d^3 product is paid outside BPTT.  Handed G alone, a step forms
+no d^3 product is paid outside BPTT.  Handed G, a step forms
 S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
 reads two columns of W and G, O(d).
 
@@ -41,10 +41,11 @@ harness pays one objective evaluation per iteration; `loss`,
 States mutate their parameter arrays in place and are single-owner.
 Making a GradPack raises NumericError on non-finite gradients (G, S
 and every X block), and the steps scan nothing more: the uniform step
-stays O(d).  A finite bundle can still make a non-finite S or angle
-(G near the largest double, or alpha * S overflowing), so each step
-forms its W move first and checks the S and the angles it formed; a
-step refused with NumericError moves neither X nor W, nor counts.
+stays O(d).  A step refuses a bundle that does not fit its state
+(ValueError), and a finite bundle can still make a non-finite S or
+angle (G near the largest double, or alpha * S overflowing), so each
+step forms its W move first and checks the S and angles it formed; a
+refused step moves neither X nor W, nor counts.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "StepSchedule",
     "SyntheticProblem",
     "schedule_step",
-    "select_uniform",
     "sgd_step",
     "srcd_step",
     "srgd_step",
@@ -140,34 +140,31 @@ class SelectionRule:
 @dataclass(frozen=True)
 class GradPack:
     """Gradient bundle for the generic steps: the orthogonal block's
-    gradient, as G, S or both, plus named unconstrained blocks.
+    gradient as G or S, exactly one of them, plus named unconstrained
+    blocks.  `skew` is S = W^T G - G^T W at the W the step will update;
+    handed G (`w`) instead, a step forms what it needs of S.  `sgd_step`
+    needs `w`.
 
-    `skew` is S = W^T G - G^T W at the W the step will update; the steps
-    on O(d) read it from here when it is given.  Without it they form
-    it from the Euclidean gradient `w`.  One of the two must be given;
-    `sgd_step` needs `w`.
-
-    Making a bundle checks it once: it keeps each array's sum of squares
-    (`w_sq`, `skew_sq`, `x_sq` in block order; `train`'s gnormsq is
-    skew_sq/4 + sum(x_sq)), and where a sum is not finite the exact
+    Making a bundle checks it once: it keeps the sums of squares
+    `skew_sq` (None for G) and `x_sq`, in block order (`train`'s gnormsq
+    is skew_sq/4 + sum(x_sq)); where a sum is not finite the exact
     entrywise test decides, so NaN or +-inf raises NumericError and huge
-    finite entries pass.  It is frozen: the steps trust it, scan nothing.
+    finite entries pass.  It is frozen; the steps scan nothing.
     """
 
     w: np.ndarray | None = None
     x: dict[str, np.ndarray] = field(default_factory=dict)
     skew: np.ndarray | None = None
-    w_sq: float | None = field(init=False, default=None)
     skew_sq: float | None = field(init=False, default=None)
     x_sq: tuple[float, ...] = field(init=False, default=())
 
     def __post_init__(self) -> None:
         w, skew = self.w, self.skew
-        if w is None and skew is None:
-            raise ValueError("GradPack carries neither G nor S")
-        if w is not None:
-            object.__setattr__(self, "w_sq", _checked(np.vdot(w, w), w, "w"))
-        if skew is not None:
+        if (w is None) == (skew is None):
+            raise ValueError("a GradPack carries G or S, exactly one of them")
+        if skew is None:
+            _checked(np.vdot(w, w), w, "w")
+        else:
             object.__setattr__(self, "skew_sq", _checked(np.vdot(skew, skew), skew, "skew"))
         # (g * g).sum() is np.sum(g * g), one add.reduce, without np.sum's dispatch
         object.__setattr__(self, "x_sq", tuple([
@@ -214,6 +211,19 @@ class OptimizerState:
                 seed: int | None = None) -> "OptimizerState":
         return cls(w=params.w, x=params.x_blocks(), schedule=schedule,
                    rule=rule, rng=np.random.default_rng(seed))
+
+
+def _check_fit(state: OptimizerState, grads: GradPack) -> None:
+    """ValueError unless the W gradient has W's shape and the X blocks
+    are the state's, by name and by shape."""
+    g = grads.w if grads.skew is None else grads.skew
+    blocks = grads.x
+    if g.shape != state.w.shape or blocks.keys() != state.x.keys():
+        raise ValueError("the gradient bundle's shapes or X names do not fit the state")
+    for name, arr in state.x.items():  # a loop: half the cost of any() here
+        if blocks[name].shape != arr.shape:
+            raise ValueError(f"X gradient {name!r} of shape {blocks[name].shape} "
+                             f"for a block of shape {arr.shape}")
 
 
 def _skew(w: np.ndarray, grads: GradPack) -> np.ndarray:
@@ -263,6 +273,7 @@ def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     Needs the Euclidean gradient G in `grads.w`."""
     if grads.w is None:
         raise ValueError("sgd_step needs the Euclidean W gradient")
+    _check_fit(state, grads)
     alpha = schedule_step(state.schedule, state.k)
     _update_x(state, grads, alpha)
     state.w -= alpha * grads.w
@@ -277,6 +288,7 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     expm(-alpha * skew(W^T g_W)) directly.  That argument is exactly
     skew, so `matrix_expm` takes it to its Taylor core as given.
     """
+    _check_fit(state, grads)
     alpha = schedule_step(state.schedule, state.k)
     w = state.w
     rot = manifold.matrix_expm(_skew(w, grads) * (-alpha / 2.0))
@@ -292,16 +304,18 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
 
 
 def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """Coordinate step per the state's selection rule: pick, then check
-    every angle, update X and rotate W's picked column pairs.
+    """Coordinate step per the state's selection rule: check the bundle
+    fits, pick, check every angle, update X, rotate W's picked pairs.
 
-    The uniform rule draws one coordinate and reads its partial alone,
-    S[j,l]/sqrt(2) when S is bundled and two columns of W and G
-    otherwise: its whole W path is O(d).  Gauss-Southwell takes one
-    greedy pick from S, block Gauss-Southwell rule.block_size(D).
+    The uniform rule draws one coordinate i.i.d. from {1, ..., D} and
+    reads its partial alone, S[j,l]/sqrt(2) from an S bundle and two
+    columns of W and G from a G bundle: its whole W path is O(d).
+    Gauss-Southwell takes one greedy pick from S, block Gauss-Southwell
+    rule.block_size(D).
     """
     if state.rule is None:
         raise ValueError("srcd_step needs a SelectionRule on the state")
+    _check_fit(state, grads)
     alpha = schedule_step(state.schedule, state.k)
     w = state.w
     d = w.shape[0]
@@ -312,7 +326,7 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     if rule.kind == "uniform":
         if state.rng is None:
             raise ValueError("uniform selection needs an rng on the state")
-        i = select_uniform(state.rng, n_coords)
+        i = int(state.rng.integers(1, n_coords + 1))
         if grads.skew is None:
             theta = manifold.partial_derivative(w, grads.w, i)
         else:
@@ -350,17 +364,6 @@ def step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     if state.rule is None:
         return srgd_step(state, grads)
     return srcd_step(state, grads)
-
-
-# ---------------------------------------------------------------------------
-# coordinate selection
-# ---------------------------------------------------------------------------
-
-def select_uniform(rng: np.random.Generator, n_coords: int) -> int:
-    """One i.i.d. uniform coordinate from {1, ..., n_coords}."""
-    if n_coords < 1:
-        raise ValueError("n_coords must be >= 1")
-    return int(rng.integers(1, n_coords + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +411,6 @@ class SyntheticProblem:
     @property
     def d(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def lipschitz(self) -> float:
-        return max(np.linalg.svd(self.a, compute_uv=False)[0] ** 2, 1.0)
 
     def init(self, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(seed)

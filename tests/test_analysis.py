@@ -94,6 +94,17 @@ def test_decade_edges_degenerate_inputs():
     assert single.size >= 2
 
 
+def test_decade_edges_below_the_smallest_decade():
+    # 10.0**-324 is 0.0, so the lowest edge stops at 10.0**-323; the
+    # smallest subnormal, 5e-324, lands in the underflow row
+    for v in (np.array([5e-324, 1.0]), np.array([5e-324])):
+        edges = an.decade_edges(v)
+        assert edges[0] == 10.0 ** -323 > 0.0
+        hist = an.histogram(v, edges)
+        assert hist.counts.sum() == v.size
+        assert hist.counts[0] == 1
+
+
 def test_histogram_hand_case():
     v = np.array([0.0, 0.5, 5.0, 500.0])
     edges = np.array([1e-1, 1e0, 1e1, 1e2])

@@ -376,7 +376,7 @@ def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
     cli.run_training(cfg)
     assert picks == [1975, 163, 579, 812, 462, 1213, 1800, 293, 880, 233, 99, 660]
     stream = np.random.default_rng([0, 2])
-    assert picks == [optim.select_uniform(stream, manifold.num_coords(64))
+    assert picks == [int(stream.integers(1, manifold.num_coords(64) + 1))
                      for _ in range(12)]
 
 
@@ -438,6 +438,19 @@ def test_failed_run_is_marked(tmp_path, monkeypatch):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["status"] == "failed"
     assert "error" in meta
+
+
+def test_step_size_that_overflows_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    # power 2000 is finite and positive, so the config is valid, but
+    # (1 + k/k0)^p overflows at k = 1: exit 2, not a traceback
+    out = tmp_path / "overflow"
+    args = ["train", *TINY, "--schedule", "polynomial", "--power", "2000",
+            "--out", str(out)]
+    assert run_main(args, tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == "failed"
+    assert meta["error"].startswith("OverflowError")
 
 
 def test_train_refuses_to_save_a_w_pushed_off_the_manifold(tmp_path, monkeypatch):

@@ -108,16 +108,26 @@ def test_selection_rule_validation_and_block_size():
     assert rule.block_size(10) == 1       # max(1, round(0.05))
 
 
+def _uniform_picks(d, seed, steps):
+    # the coordinates of `steps` uniform srcd steps on a d x d state
+    state = optim.OptimizerState(w=np.eye(d), x={},
+                                 schedule=optim.StepSchedule("fixed", 1e-3),
+                                 rule=optim.SelectionRule("uniform"),
+                                 rng=np.random.default_rng(seed))
+    pack = optim.GradPack(skew=_skew_from(np.ones((d, d))))
+    picks = []
+    for _ in range(steps):
+        optim.srcd_step(state, pack)
+        picks.extend(state.last_coords)
+    return picks
+
+
 def test_select_uniform_range_and_coverage():
-    rng = np.random.default_rng(0)
-    draws = [optim.select_uniform(rng, 3) for _ in range(600)]
-    assert set(draws) == {1, 2, 3}
-    rng_a = np.random.default_rng(5)
-    rng_b = np.random.default_rng(5)
-    assert [optim.select_uniform(rng_a, 1000) for _ in range(20)] == \
-           [optim.select_uniform(rng_b, 1000) for _ in range(20)]
-    with pytest.raises(ValueError):
-        optim.select_uniform(rng, 0)
+    # the uniform step draws from {1, ..., D}, all of it; d < 2, where
+    # D = 0, is refused (test_srcd_requires_rule_and_rng)
+    assert set(_uniform_picks(3, 0, 600)) == {1, 2, 3}
+    assert _uniform_picks(46, 5, 20) == _uniform_picks(46, 5, 20)
+    assert set(_uniform_picks(46, 5, 20)) <= set(range(1, mf.num_coords(46) + 1))
 
 
 def test_select_gauss_southwell():
@@ -244,7 +254,7 @@ def test_srcd_uniform_step_semantics():
     grads = random_grads(state, seed=11)
     w0 = state.w.copy()
     sel_rng = np.random.default_rng(2)  # same stream the state was built with
-    expect_i = optim.select_uniform(sel_rng, mf.num_coords(9))
+    expect_i = int(sel_rng.integers(1, mf.num_coords(9) + 1))
     theta = mf.partial_derivative(w0, grads.w, expect_i)
     want = mf.givens_update(w0, expect_i, -0.02 * theta)
     optim.srcd_step(state, grads)
@@ -357,6 +367,62 @@ def test_gradpack_needs_g_or_s():
     assert state.k == 0
 
 
+def test_gradpack_refuses_both_g_and_s():
+    state = make_state(d=6)
+    g = random_grads(state, seed=20)
+    with pytest.raises(ValueError, match="exactly one"):
+        optim.GradPack(w=g.w, skew=mf.skew_grad(state.w, g.w), x=g.x)
+
+
+_STEPS = {"sgd": optim.sgd_step, "srgd": optim.srgd_step}
+
+
+@pytest.mark.parametrize("name", ["sgd", *optim.OPTIMIZERS])
+def test_steps_refuse_a_bundle_that_does_not_fit(name):
+    # a W gradient not of W's shape, or X blocks that are not the
+    # state's by name and shape, is refused before anything moves; the
+    # state takes one good step first, so a coordinate step's
+    # last_coords is not empty
+    kind = optim.OPTIMIZERS.get(name)
+    fn = _STEPS.get(name, optim.srcd_step)
+    d = 6
+    rng = np.random.default_rng(50)
+    state = optim.OptimizerState(
+        w=random_w(d, seed=51),
+        x={"a": rng.standard_normal((3, 3)), "b": rng.standard_normal(2)},
+        schedule=optim.StepSchedule("fixed", 0.01),
+        rule=None if kind is None else optim.SelectionRule(kind, block_fraction=0.2),
+        rng=np.random.default_rng(52))
+
+    def blocks(**shapes):
+        return {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+
+    fit = {"a": (3, 3), "b": (2,)}
+    fn(state, optim.GradPack(w=rng.standard_normal((d, d)), x=blocks(**fit)))
+    assert state.k == 1
+    w0, x0 = state.w.copy(), {n: arr.copy() for n, arr in state.x.items()}
+    last0 = state.last_coords
+    misfits = [
+        ((d, d), {"a": (3, 3)}),                  # a block missing
+        ((d, d), {**fit, "c": (2,)}),             # a block too many
+        ((d, d), {"a": (3,), "b": (2,)}),         # a row for a (3, 3) block
+        ((d, d), {"a": (3, 3), "b": (1, 2)}),
+        ((8, 8), fit),                            # d = 8 for a d = 6 state
+        ((d,), fit),
+        ((d, d + 1), fit),
+    ]
+    for form in ("w",) if name == "sgd" else ("w", "skew"):
+        for w_shape, x_shapes in misfits:
+            g = rng.standard_normal(w_shape)
+            if form == "skew" and w_shape[0] == w_shape[-1]:
+                g -= g.T
+            with pytest.raises(ValueError, match="shape"):
+                fn(state, optim.GradPack(**{form: g}, x=blocks(**x_shapes)))
+            assert state.k == 1 and state.last_coords == last0
+            assert np.array_equal(state.w, w0)
+            assert all(np.array_equal(state.x[n], x0[n]) for n in x0)
+
+
 def test_steps_share_the_unconstrained_update():
     grads = None
     results = {}
@@ -372,33 +438,37 @@ def test_steps_share_the_unconstrained_update():
     assert np.array_equal(results["srgd"], results["srcd"])
 
 
-def _bundle(state, seed, scale=1.0, poison=None):
-    # G, S and the X block from random draws, times `scale`; `poison`
-    # = (block, index, value) sets one entry before the bundle is made
+def _bundle(state, seed, form, scale=1.0, poison=None):
+    # a G ("w") or an S ("skew") bundle with its X block, from random
+    # draws times `scale`; `poison` = (block, index, value) sets one entry
+    # of the W gradient (block = form) or the X block ("x") first
     arrays = {"w": random_grads(state, seed=seed).w * scale,
               "skew": mf.skew_grad(state.w, random_grads(state, seed + 1).w) * scale,
               "x": random_grads(state, seed=seed + 2).x["x"] * scale}
     if poison is not None:
         block, index, value = poison
         arrays[block][index] = value
-    return optim.GradPack(w=arrays["w"], skew=arrays["skew"], x={"x": arrays["x"]})
+    return optim.GradPack(**{form: arrays[form]}, x={"x": arrays["x"]})
 
 
 def test_non_finite_gradients_raise():
     # a NaN, +inf or -inf in G, S or the X block is refused when the
     # bundle is made, before any step can apply it
-    for fn, rule in ((optim.sgd_step, None), (optim.srgd_step, None),
-                     (optim.srcd_step, optim.SelectionRule("uniform"))):
+    for fn, rule, forms in ((optim.sgd_step, None, ("w",)),
+                            (optim.srgd_step, None, ("w", "skew")),
+                            (optim.srcd_step, optim.SelectionRule("uniform"), ("w", "skew"))):
         state = make_state(d=6, rule=rule)
         w0, x0 = state.w.copy(), state.x["x"].copy()
-        for block in ("w", "skew", "x"):
-            for bad in (np.nan, np.inf, -np.inf):
-                with pytest.raises(optim.NumericError, match="non-finite"):
-                    fn(state, _bundle(state, 16, poison=(block, (0, 1), bad)))
+        for form in forms:
+            for block in (form, "x"):
+                for bad in (np.nan, np.inf, -np.inf):
+                    with pytest.raises(optim.NumericError, match="non-finite"):
+                        fn(state, _bundle(state, 16, form, poison=(block, (0, 1), bad)))
         assert state.k == 0
         assert np.array_equal(state.w, w0) and np.array_equal(state.x["x"], x0)
-        fn(state, _bundle(state, 16))
-        assert state.k == 1
+        for form in forms:
+            fn(state, _bundle(state, 16, form))
+        assert state.k == len(forms)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -409,13 +479,15 @@ def test_finite_check_screens_without_changing_the_rule(d):
     state = make_state(d=d, alpha=alpha, rule=optim.SelectionRule("uniform"))
     w0, x0 = state.w.copy(), state.x["x"].copy()
 
-    # sums of squares overflow to inf, every entry is finite: accepted,
-    # and each step applies the huge bundle as it would any other
-    huge = _bundle(state, 31, scale=1e200)
-    assert huge.w_sq == huge.skew_sq == huge.x_sq[0] == math.inf
-    optim.sgd_step(state, huge)
-    assert np.array_equal(state.w, w0 - alpha * huge.w)
-    assert np.array_equal(state.x["x"], x0 - alpha * huge.x["x"])
+    # sums of squares overflow to inf, every entry is finite: accepted in
+    # each form, and each step applies the huge bundle as it would any other
+    huge_g = _bundle(state, 31, "w", scale=1e200)
+    huge = _bundle(state, 31, "skew", scale=1e200)
+    assert huge.skew_sq == huge.x_sq[0] == huge_g.x_sq[0] == math.inf
+    assert huge_g.skew_sq is None
+    optim.sgd_step(state, huge_g)
+    assert np.array_equal(state.w, w0 - alpha * huge_g.w)
+    assert np.array_equal(state.x["x"], x0 - alpha * huge_g.x["x"])
     state.w[...], state.x["x"][...] = w0, x0
     optim.srcd_step(state, huge)
     (i,) = state.last_coords
@@ -426,12 +498,14 @@ def test_finite_check_screens_without_changing_the_rule(d):
     assert np.isfinite(state.w).all()
 
     for k in range(30):
-        block = ("w", "x", "skew")[k % 3]
+        # every (form, block) pair in each run of six
+        form = ("w", "skew")[k % 2]
+        block = "x" if k % 3 == 2 else form
         shape = huge.x["x"].shape if block == "x" else (d, d)
         bad = (np.nan, np.inf, -np.inf)[k % 3 if k < 15 else rng.integers(3)]
         index = tuple(rng.integers(0, n) for n in shape)
         with pytest.raises(optim.NumericError):
-            _bundle(state, 32 + k, scale=1e200, poison=(block, index, bad))
+            _bundle(state, 32 + k, form, scale=1e200, poison=(block, index, bad))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -524,11 +598,12 @@ def test_gradpack_is_frozen_and_keeps_its_sums():
     state = make_state(d=7)
     g = random_grads(state, seed=33)
     skew = mf.skew_grad(state.w, g.w)
-    pack = optim.GradPack(w=g.w, skew=skew, x=g.x)
-    assert pack.w_sq == float(np.vdot(g.w, g.w))
+    pack = optim.GradPack(skew=skew, x=g.x)
     assert pack.skew_sq == float(np.vdot(skew, skew))
     assert pack.x_sq == (float(np.sum(g.x["x"] * g.x["x"])),)
-    assert optim.GradPack(skew=skew).w_sq is None
+    g_pack = optim.GradPack(w=g.w, x=g.x)
+    assert g_pack.skew_sq is None and g_pack.x_sq == pack.x_sq
+    assert not hasattr(g_pack, "w_sq")
     for attr in ("w", "skew", "x", "skew_sq"):
         with pytest.raises(AttributeError):
             setattr(pack, attr, None)
@@ -555,7 +630,7 @@ def test_skew_picks_match_all_partials(d):
     for rule in (optim.SelectionRule("gauss_southwell"),
                  optim.SelectionRule("block_gs", block_fraction=0.1)):
         results = []
-        for grads in (optim.GradPack(w=g), optim.GradPack(w=g, skew=skew)):
+        for grads in (optim.GradPack(w=g), optim.GradPack(skew=skew)):
             state = optim.OptimizerState(w=w0.copy(), x={},
                                          schedule=optim.StepSchedule("fixed", alpha),
                                          rule=rule)
@@ -579,7 +654,7 @@ def test_srgd_skew_bundle_is_bitwise_the_dense_formula():
     w0 = state.w.copy()
     a = w0.T @ g.w
     want = w0 @ mf.matrix_expm(-0.05 * ((a - a.T) / 2.0))
-    for grads in (g, optim.GradPack(w=g.w, x=g.x, skew=mf.skew_grad(w0, g.w))):
+    for grads in (g, optim.GradPack(x=g.x, skew=mf.skew_grad(w0, g.w))):
         state.w[...] = w0
         state.k = 0
         optim.srgd_step(state, grads)
@@ -622,11 +697,13 @@ def test_skew_picks_ties_and_zero_gradient(kind):
             want = (select_gauss_southwell(v),)
         else:
             want = tuple(naive_block_gs(v, rule.block_size(v.size), d))
-        state = optim.OptimizerState(w=np.eye(d), x={},
-                                     schedule=optim.StepSchedule("fixed", 0.1),
-                                     rule=rule)
-        optim.srcd_step(state, optim.GradPack(w=grad, skew=mf.skew_grad(np.eye(d), grad)))
-        assert state.last_coords == want
+        for pack in (optim.GradPack(w=grad),
+                     optim.GradPack(skew=mf.skew_grad(np.eye(d), grad))):
+            state = optim.OptimizerState(w=np.eye(d), x={},
+                                         schedule=optim.StepSchedule("fixed", 0.1),
+                                         rule=rule)
+            optim.srcd_step(state, pack)
+            assert state.last_coords == want
     assert want[0] == 1  # all-zero gradient: coordinate 1
     assert np.array_equal(state.w, np.eye(d))
 
@@ -650,7 +727,6 @@ def test_synthetic_problem_construction():
     s = np.linalg.svd(prob.a, compute_uv=False)
     assert s[0] == pytest.approx(1.0)           # sigma_max = 1 by construction
     assert s[-1] == pytest.approx(0.5)
-    assert prob.lipschitz == pytest.approx(1.0)
     assert np.linalg.det(prob.q) == pytest.approx(1.0)
     assert np.allclose(prob.b, prob.q @ prob.a, atol=1e-15)
     again = optim.SyntheticProblem.make(12, (4, 4), noise_std=0.0, seed=19)
