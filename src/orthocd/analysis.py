@@ -54,13 +54,19 @@ def _frac_needed(cum: np.ndarray, p: float) -> float:
     return n / cum.size
 
 
+def _finite(partials: np.ndarray) -> np.ndarray:
+    """`partials` as a flat float64 array; ValueError if any is NaN or +-inf."""
+    v = np.asarray(partials, dtype=np.float64).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("non-finite partials")
+    return v
+
+
 def sparsity_profile(partials: np.ndarray) -> SparsityProfile:
     """Profile of coordinate magnitudes; all-zero input yields frac = 0."""
-    v = np.asarray(partials, dtype=np.float64).ravel()
+    v = _finite(partials)
     if v.size == 0:
         raise ValueError("empty partials vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite partials")
     mags = np.sort(np.abs(v))[::-1]
     sq = mags * mags
     total = sq.sum()
@@ -79,7 +85,7 @@ def sparsity_profile(partials: np.ndarray) -> SparsityProfile:
 
 def decade_edges(values: np.ndarray) -> np.ndarray:
     """Log-spaced decade bin edges covering the nonzero magnitudes."""
-    mags = np.abs(np.asarray(values, dtype=np.float64))
+    mags = np.abs(_finite(values))
     nz = mags[mags > 0]
     if nz.size == 0:
         return 10.0 ** np.arange(-16.0, 1.0)
@@ -101,7 +107,7 @@ def histogram(partials: np.ndarray, log_bins: np.ndarray) -> Histogram:
     """Counts of |v_i| per bin; zeros (and anything below the first
     edge) land in an underflow bin, values at or above the last edge in
     an overflow bin, so the counts always sum to D."""
-    v = np.abs(np.asarray(partials, dtype=np.float64).ravel())
+    v = np.abs(_finite(partials))
     edges = np.asarray(log_bins, dtype=np.float64).ravel()
     if edges.size < 2:
         raise ValueError("need at least two bin edges")

@@ -232,15 +232,18 @@ def _run_dir(command: str, cfg: ExperimentConfig) -> Path:
 
 @functools.cache
 def _version_string() -> str:
-    """The package version plus `git describe`, read once per process
-    (a subprocess, about 2 ms)."""
-    here = Path(__file__).resolve().parent
+    """The package version, plus `git describe` when the repository that
+    git finds tracks this package's own __init__.py (a copy installed in
+    some other work tree is not its commit); read once per process (two
+    subprocesses, a few ms)."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=Path(__file__).resolve().parent,
+                              capture_output=True, text=True, timeout=5)
     try:
-        desc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here, capture_output=True, text=True, timeout=5)
-        if desc.returncode == 0 and desc.stdout.strip():
-            return f"{__version__}+git.{desc.stdout.strip()}"
+        if git("ls-files", "--error-unmatch", "__init__.py").returncode == 0:
+            desc = git("describe", "--always", "--dirty")
+            if desc.returncode == 0 and desc.stdout.strip():
+                return f"{__version__}+git.{desc.stdout.strip()}"
     except (OSError, subprocess.SubprocessError):
         pass
     return __version__
@@ -352,14 +355,12 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
         # S = A - A^T with A = W^T G from BPTT, O(d^2); making the bundle
-        # checks it and sums its squares once, and the gnormsq column
-        # reads those sums (||grad_W||^2 = ||S||_F^2 / 4)
+        # checks it once and keeps its squared norm, the gnormsq column
         pack = optim.GradPack(skew=manifold.antisym(grads.a),
                               x=grads.x_blocks())
-        alphas[k] = optim.schedule_step(schedule, state.k)
         losses[k] = value
-        gnormsq[k] = pack.skew_sq / 4.0 + sum(pack.x_sq)
-        optim.step(state, pack)
+        gnormsq[k] = pack.norm_sq
+        alphas[k] = optim.step(state, pack)
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
@@ -476,9 +477,8 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     losses = np.empty(n)
     x = state.x["x"]
     for k in range(n):
-        alphas[k] = optim.schedule_step(schedule, k)
         losses[k], gsq[k], grads = problem.evaluate(x, state.w, rng=noise_rng)
-        optim.step(state, grads)
+        alphas[k] = optim.step(state, grads)
     m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)
 

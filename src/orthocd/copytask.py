@@ -125,10 +125,13 @@ def baseline_loss(cfg: CopyTaskConfig) -> float:
 
 def accuracy(logits: np.ndarray, batch: CopyTaskBatch, cfg: CopyTaskConfig) -> float:
     """Fraction of the final K positions whose argmax matches the
-    target; `logits` is batch-first (B, T, n_output_classes)."""
+    target; `logits` is batch-first (B, T, n_output_classes), for the
+    batch's (B, T) targets."""
     logits = np.asarray(logits)
-    if logits.ndim != 3:
-        raise ValueError(f"logits must be (B, T, n_classes), got shape {logits.shape}")
+    want = (*batch.targets.shape, cfg.n_output_classes)
+    if logits.shape != want:
+        raise ValueError(f"logits must be (B, T, n_classes) = {want}, "
+                         f"got shape {logits.shape}")
     k = cfg.copy_len
     pred = logits[:, -k:, :].argmax(axis=-1)
     return float((pred == batch.targets[:, -k:]).mean())

@@ -38,14 +38,15 @@ squared gradient norm and the gradient the step is handed, so the
 harness pays one objective evaluation per iteration; `loss`,
 `grad_norm_sq` and `grads` give the same values one at a time.
 
-States mutate their parameter arrays in place and are single-owner.
-Making a GradPack raises NumericError on non-finite gradients (G, S
-and every X block), and the steps scan nothing more: the uniform step
-stays O(d).  A step refuses a bundle that does not fit its state
-(ValueError), and a finite bundle can still make a non-finite S or
-angle (G near the largest double, or alpha * S overflowing), so each
-step forms its W move first and checks the S and angles it formed; a
-refused step moves neither X nor W, nor counts.
+States mutate their parameter arrays in place and are single-owner;
+a step returns the alpha it took.  Making a GradPack raises
+NumericError on non-finite gradients (G, S and every X block), and
+the steps scan nothing more: the uniform step stays O(d).  A step
+refuses a bundle that does not fit its state (ValueError), and a
+finite bundle can still make a non-finite S or angle (G near the
+largest double, or alpha * S overflowing), so each step forms its W
+move first and checks the S and angles it formed; a refused step
+moves neither X nor W, nor counts.
 """
 
 from __future__ import annotations
@@ -145,30 +146,29 @@ class GradPack:
     handed G (`w`) instead, a step forms what it needs of S.  `sgd_step`
     needs `w`.
 
-    Making a bundle checks it once: it keeps the sums of squares
-    `skew_sq` (None for G) and `x_sq`, in block order (`train`'s gnormsq
-    is skew_sq/4 + sum(x_sq)); where a sum is not finite the exact
-    entrywise test decides, so NaN or +-inf raises NumericError and huge
-    finite entries pass.  It is frozen; the steps scan nothing.
+    Making a bundle checks it once, one sum of squares per block; where
+    a sum is not finite the exact entrywise test decides, so NaN or
+    +-inf raises NumericError and huge finite entries pass.  An S
+    bundle keeps `norm_sq` = ||S||_F^2/4 + the X sums, the squared
+    Riemannian gradient norm (None for G: it needs W).  It is frozen;
+    the steps scan nothing.
     """
 
     w: np.ndarray | None = None
     x: dict[str, np.ndarray] = field(default_factory=dict)
     skew: np.ndarray | None = None
-    skew_sq: float | None = field(init=False, default=None)
-    x_sq: tuple[float, ...] = field(init=False, default=())
+    norm_sq: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         w, skew = self.w, self.skew
         if (w is None) == (skew is None):
             raise ValueError("a GradPack carries G or S, exactly one of them")
-        if skew is None:
-            _checked(np.vdot(w, w), w, "w")
-        else:
-            object.__setattr__(self, "skew_sq", _checked(np.vdot(skew, skew), skew, "skew"))
+        g, name = (w, "w") if skew is None else (skew, "skew")
+        w_sq = _checked(np.vdot(g, g), g, name)
         # (g * g).sum() is np.sum(g * g), one add.reduce, without np.sum's dispatch
-        object.__setattr__(self, "x_sq", tuple([
-            _checked((g * g).sum(), g, name) for name, g in self.x.items()]))
+        x_sq = sum([_checked((g * g).sum(), g, name) for name, g in self.x.items()])
+        if skew is not None:  # ||grad_W||^2 = ||S||_F^2 / 4
+            object.__setattr__(self, "norm_sq", w_sq / 4.0 + x_sq)
 
 
 def _checked(sq, g: np.ndarray, name: str) -> float:
@@ -268,9 +268,9 @@ def _update_x(state: OptimizerState, grads, alpha: float) -> None:
         arr -= alpha * blocks[name]
 
 
-def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
+def sgd_step(state: OptimizerState, grads: GradPack) -> float:
     """Euclidean SGD on all blocks; W leaves the manifold (baseline).
-    Needs the Euclidean gradient G in `grads.w`."""
+    Needs the Euclidean gradient G in `grads.w`.  Returns alpha."""
     if grads.w is None:
         raise ValueError("sgd_step needs the Euclidean W gradient")
     _check_fit(state, grads)
@@ -278,11 +278,11 @@ def sgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     _update_x(state, grads, alpha)
     state.w -= alpha * grads.w
     state.k += 1
-    return state
+    return alpha
 
 
-def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """Full Riemannian step: W <- Exp_W(-alpha * P(g_W)).
+def srgd_step(state: OptimizerState, grads: GradPack) -> float:
+    """Full Riemannian step: W <- Exp_W(-alpha * P(g_W)); returns alpha.
 
     Exp_W(W S) = W expm(S) for skew S, so the update multiplies W by
     expm(-alpha * skew(W^T g_W)) directly.  That argument is exactly
@@ -300,12 +300,12 @@ def srgd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
     _update_x(state, grads, alpha)
     w[...] = w @ rot
     state.k += 1
-    return state
+    return alpha
 
 
-def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """Coordinate step per the state's selection rule: check the bundle
-    fits, pick, check every angle, update X, rotate W's picked pairs.
+def srcd_step(state: OptimizerState, grads: GradPack) -> float:
+    """Coordinate step per the state's rule, returning alpha: check the
+    bundle fits, pick, check every angle, update X, rotate W's pairs.
 
     The uniform rule draws one coordinate i.i.d. from {1, ..., D} and
     reads its partial alone, S[j,l]/sqrt(2) from an S bundle and two
@@ -348,7 +348,7 @@ def srcd_step(state: OptimizerState, grads: GradPack) -> OptimizerState:
         manifold.givens_update(w, i, angle, out=w)
     state.last_coords = coords
     state.k += 1
-    return state
+    return alpha
 
 
 OPTIMIZERS: dict[str, str | None] = {
@@ -359,8 +359,8 @@ OPTIMIZERS: dict[str, str | None] = {
 }
 
 
-def step(state: OptimizerState, grads: GradPack) -> OptimizerState:
-    """srgd_step for a state without a SelectionRule, srcd_step with one."""
+def step(state: OptimizerState, grads: GradPack) -> float:
+    """srgd_step without a SelectionRule, else srcd_step; returns alpha."""
     if state.rule is None:
         return srgd_step(state, grads)
     return srcd_step(state, grads)

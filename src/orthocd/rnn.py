@@ -93,7 +93,6 @@ __all__ = [
     "load_checkpoint",
     "logits",
     "loss",
-    "modrelu",
     "save_checkpoint",
 ]
 
@@ -200,11 +199,6 @@ class Workspace:
         return buf
 
 
-def modrelu(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sign(x) * max(|x| + b, 0), with 0 at x = 0 (sign(0) = 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) + b, 0.0)
-
-
 def _as_batched(arr: np.ndarray, name: str, last: str) -> np.ndarray:
     """`arr` as float64; it must be batch-first (B, T, `last`)."""
     arr = np.asarray(arr, dtype=np.float64)
@@ -268,7 +262,7 @@ def _recur(
         for t, pre in enumerate(chunk, t0):
             if t:
                 pre += prod
-            np.abs(pre, out=mag)  # modrelu(pre, b_mod), into pre
+            np.abs(pre, out=mag)  # sign(pre) * max(|pre| + b_mod, 0), into pre
             mag += b_mod
             np.maximum(mag, 0.0, out=mag)
             np.sign(pre, out=sgn)

@@ -105,6 +105,18 @@ def test_decade_edges_below_the_smallest_decade():
         assert hist.counts[0] == 1
 
 
+def test_edges_and_histogram_refuse_non_finite_partials():
+    # as sparsity_profile does: no OverflowError from an inf magnitude,
+    # and no NaN counted in the overflow row
+    edges = np.array([0.1, 1.0, 10.0])
+    for bad in (np.inf, -np.inf, np.nan):
+        v = np.array([bad, 1.0])
+        for call in (lambda: an.decade_edges(v), lambda: an.histogram(v, edges),
+                     lambda: an.sparsity_profile(v)):
+            with pytest.raises(ValueError, match="non-finite partials"):
+                call()
+
+
 def test_histogram_hand_case():
     v = np.array([0.0, 0.5, 5.0, 500.0])
     edges = np.array([1e-1, 1e0, 1e1, 1e2])

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orthocd
 from orthocd import analysis, blas, cli, copytask, manifold, optim, rnn
 
 import oracles
@@ -368,8 +371,9 @@ def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
     real = optim.srcd_step
 
     def spy(state, grads):
-        real(state, grads)
+        alpha = real(state, grads)
         picks.append(state.last_coords[0])
+        return alpha
 
     monkeypatch.setattr(optim, "srcd_step", spy)
     cfg = cli.parse_config(None, {"optimizer": "srcd-u", "iterations": 12, "seed": 0})
@@ -382,8 +386,8 @@ def test_train_uniform_coordinates_follow_the_selection_stream(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(optim.OPTIMIZERS))
 def test_train_gnormsq_is_the_bundles_sums(monkeypatch, name):
-    # the gnormsq column reads the sums the bundle's check took, and they
-    # give ||grad||^2 = vdot(S, S)/4 + sum of np.sum(g*g) over the X
+    # the gnormsq column is the bundle's norm_sq, from the sums its check
+    # took: ||grad||^2 = vdot(S, S)/4 + sum of np.sum(g*g) over the X
     # blocks bitwise, written out here from the arrays the step is handed
     want = []
     step_name = "srgd_step" if name == "srgd" else "srcd_step"
@@ -392,7 +396,7 @@ def test_train_gnormsq_is_the_bundles_sums(monkeypatch, name):
     def spy(state, grads):
         want.append(float(np.vdot(grads.skew, grads.skew)) / 4.0 + sum(
             float(np.sum(g * g)) for g in grads.x.values()))
-        real(state, grads)
+        return real(state, grads)
 
     monkeypatch.setattr(optim, step_name, spy)
     cfg = cli.parse_config(None, {"optimizer": name, "iterations": 5, "seed": 3})
@@ -460,11 +464,11 @@ def test_train_refuses_to_save_a_w_pushed_off_the_manifold(tmp_path, monkeypatch
     defects = []
 
     def push_off(state, grads):
-        real_step(state, grads)
+        alpha = real_step(state, grads)
         if state.k == 3:
             state.w *= 2.0
             defects.append(manifold.orthogonality_defect(state.w))
-        return state
+        return alpha
 
     monkeypatch.setattr(optim, "srgd_step", push_off)
     out = tmp_path / "run"
@@ -621,11 +625,46 @@ def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
     for name in ("a", "b"):
         assert run_main(["train", *TINY, "--out", str(tmp_path / name)],
                         tmp_path, monkeypatch) == 0
-    assert [argv[:2] for argv in calls] == [["git", "describe"]]
+    # platform's first uname also goes through subprocess.run: git's only
+    git_calls = [argv[:2] for argv in calls if argv[0] == "git"]
+    assert git_calls in ([["git", "ls-files"], ["git", "describe"]], [["git", "ls-files"]])
     for name in ("a", "b"):
         meta = json.loads((tmp_path / name / "run_meta.json").read_text())
         assert meta["version"] == cli._version_string()
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_version_names_a_commit_only_of_a_repository_tracking_the_package(tmp_path):
+    # a copy installed inside another project's work tree reports the
+    # plain version, not that project's commit; a git checkout that
+    # tracks the package adds `+git.<describe>`
+    src = Path(cli.__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+
+    def git(repo, *args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, env=env, check=True, capture_output=True)
+
+    def version(site):
+        out = subprocess.run(
+            [sys.executable, "-c", "from orthocd import cli; print(cli._version_string())"],
+            cwd=tmp_path, env={**env, "PYTHONPATH": str(site)},
+            check=True, capture_output=True, text=True)
+        return out.stdout.strip()
+
+    for name, site, track in (("other", ".venv/site-packages", False), ("checkout", "src", True)):
+        repo = tmp_path / name
+        shutil.copytree(src, repo / site / "orthocd",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (repo / "README").write_text("a project\n")
+        git(repo, "init", "-q")
+        git(repo, "add", "README", *([site] if track else []))
+        git(repo, "commit", "-q", "-m", "first")
+        got = version(repo / site)
+        if track:
+            assert got.startswith(orthocd.__version__ + "+git.")
+        else:
+            assert got == orthocd.__version__
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,11 @@ def test_accuracy_rejects_2d_logits():
     logits = ct.one_hot(data.targets, cfg.n_output_classes)
     with pytest.raises(ValueError, match=r"\(7, 5\)"):
         ct.accuracy(logits[0], data, cfg)
+    # and (B, T, classes) logits must be the batch's B and T and the
+    # task's output classes, not merely broadcast against them
+    data = ct.generate_batch(ct.DESK, rng=np.random.default_rng(6))
+    for shape in ((1, 110, 10), (32, 7, 10), (32, 110, 3)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            ct.accuracy(np.zeros(shape), data, ct.DESK)
+    assert ct.accuracy(np.zeros((32, 110, 10)), data, ct.DESK) == float(
+        (data.targets[:, -5:] == 0).mean())

@@ -423,6 +423,25 @@ def test_steps_refuse_a_bundle_that_does_not_fit(name):
             assert all(np.array_equal(state.x[n], x0[n]) for n in x0)
 
 
+@pytest.mark.parametrize("name", ["sgd", *optim.OPTIMIZERS])
+def test_steps_return_the_alpha_they_took(name):
+    # each step returns the schedule's alpha at its k, the one that
+    # moved X; `step` returns what the step it dispatches to returns
+    kind = optim.OPTIMIZERS.get(name)
+    schedule = optim.StepSchedule("polynomial", 0.1, power=0.75, offset=2.0)
+    rule = None if kind is None else optim.SelectionRule(kind, block_fraction=0.2)
+    assert len({optim.schedule_step(schedule, k) for k in range(3)}) == 3
+    fns = [_STEPS.get(name, optim.srcd_step)] + ([] if name == "sgd" else [optim.step])
+    for fn in fns:
+        state = make_state(d=6, rule=rule)
+        state.schedule = schedule
+        for k in range(3):
+            x0, grads = state.x["x"].copy(), random_grads(state, seed=60 + k)
+            alpha = fn(state, grads)
+            assert alpha == optim.schedule_step(schedule, k)
+            assert np.array_equal(state.x["x"], x0 - alpha * grads.x["x"])
+
+
 def test_steps_share_the_unconstrained_update():
     grads = None
     results = {}
@@ -483,8 +502,8 @@ def test_finite_check_screens_without_changing_the_rule(d):
     # each form, and each step applies the huge bundle as it would any other
     huge_g = _bundle(state, 31, "w", scale=1e200)
     huge = _bundle(state, 31, "skew", scale=1e200)
-    assert huge.skew_sq == huge.x_sq[0] == huge_g.x_sq[0] == math.inf
-    assert huge_g.skew_sq is None
+    assert huge.norm_sq == math.inf
+    assert huge_g.norm_sq is None
     optim.sgd_step(state, huge_g)
     assert np.array_equal(state.w, w0 - alpha * huge_g.w)
     assert np.array_equal(state.x["x"], x0 - alpha * huge_g.x["x"])
@@ -598,13 +617,17 @@ def test_gradpack_is_frozen_and_keeps_its_sums():
     state = make_state(d=7)
     g = random_grads(state, seed=33)
     skew = mf.skew_grad(state.w, g.w)
-    pack = optim.GradPack(skew=skew, x=g.x)
-    assert pack.skew_sq == float(np.vdot(skew, skew))
-    assert pack.x_sq == (float(np.sum(g.x["x"] * g.x["x"])),)
-    g_pack = optim.GradPack(w=g.w, x=g.x)
-    assert g_pack.skew_sq is None and g_pack.x_sq == pack.x_sq
-    assert not hasattr(g_pack, "w_sq")
-    for attr in ("w", "skew", "x", "skew_sq"):
+    # two X blocks: their sums are added in block order, after ||S||^2/4
+    x = {"x": g.x["x"], "y": 3.0 * g.x["x"][:2]}
+    pack = optim.GradPack(skew=skew, x=x)
+    want = float(np.vdot(skew, skew)) / 4.0 + sum(
+        [float(np.sum(arr * arr)) for arr in x.values()])
+    assert pack.norm_sq == want
+    g_pack = optim.GradPack(w=g.w, x=x)
+    assert g_pack.norm_sq is None
+    for gone in ("w_sq", "skew_sq", "x_sq"):
+        assert not hasattr(g_pack, gone) and not hasattr(pack, gone)
+    for attr in ("w", "skew", "x", "norm_sq"):
         with pytest.raises(AttributeError):
             setattr(pack, attr, None)
 

@@ -1,6 +1,9 @@
+import dataclasses
 import importlib.util
 import math
 import pkgutil
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -27,6 +30,29 @@ def test_readme_quick_start_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_readme_config_and_cli_blocks_resolve(tmp_path):
+    # the README's INI block is a readable config, its comments on their
+    # own lines, and it holds the defaults; each `orthocd` command of its
+    # CLI block parses and resolves to a config, without running
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = tmp_path / "config.ini"
+    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert cli.parse_config(str(ini)) == cli.parse_config()
+
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+    commands = [line for lang, block in blocks if not lang
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("orthocd ")]
+    assert len(commands) == 3
+    for line in commands:
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        overrides = {f.name: getattr(args, f.name)
+                     for f in dataclasses.fields(cli.ExperimentConfig)
+                     if getattr(args, f.name) is not None}
+        assert overrides
+        cli.parse_config(args.config, overrides)
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):
