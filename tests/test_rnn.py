@@ -28,19 +28,25 @@ def linear(params):
 # activation
 # ---------------------------------------------------------------------------
 
-def test_forward_applies_modrelu_frozen_values():
-    # W_in = W = I and one step from h(-1) = 0, so the preactivation is x
-    eye = np.eye(5)
-    for x, b, want in (
-            # |x|+b clipped at 0, sign reattached; dead at x = 0 regardless of b
-            ([2.0, -2.0, 0.5, -0.5, 0.0], [-1.0, -1.0, -1.0, -1.0, 3.0],
-             [1.0, -1.0, 0.0, 0.0, 0.0]),
-            # a positive bias acts like a shifted identity
-            ([0.3, -0.3, 0.3, -0.3, 0.3], [0.2] * 5, [0.5, -0.5, 0.5, -0.5, 0.5])):
-        params = rnn.RnnParams(w_in=eye, w=eye, w_out=np.ones((1, 5)),
-                               b_out=np.zeros(1), b_mod=np.array(b))
-        hidden = rnn.forward(params, np.array(x)[None, None]).hidden
-        assert np.array_equal(hidden, np.array(want)[None, None])
+def one_step_hidden(x, b_mod):
+    """rnn.forward's hidden state after one step from h(-1) = 0 with
+    W_in = W = I, so the preactivation is x and hidden is modReLU(x)."""
+    eye = np.eye(len(x))
+    params = rnn.RnnParams(w_in=eye, w=eye, w_out=np.ones((1, len(x))),
+                           b_out=np.zeros(1), b_mod=np.array(b_mod))
+    return rnn.forward(params, np.array(x)[None, None]).hidden[0, 0]
+
+
+def test_modrelu_frozen_values():
+    # |x|+b clipped at 0, sign reattached; dead at x = 0 regardless of b
+    hidden = one_step_hidden([2.0, -2.0, 0.5, -0.5, 0.0],
+                             [-1.0, -1.0, -1.0, -1.0, 3.0])
+    assert np.array_equal(hidden, [1.0, -1.0, 0.0, 0.0, 0.0])
+
+
+def test_modrelu_positive_bias_acts_like_shifted_identity():
+    hidden = one_step_hidden([0.3, -0.3, 0.3, -0.3, 0.3], [0.2] * 5)
+    assert np.array_equal(hidden, [0.5, -0.5, 0.5, -0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
