@@ -176,9 +176,10 @@ def bench_update(optimizer: str, d: int, phase: str = "update",
     `sgd`.  phase="update" times the step alone on a bundle of random G
     and X blocks, made once outside the timed region.
     phase="backward_update" times BPTT on a desk-scale copy-task batch
-    plus the step on the bundle `train` makes from it: S = antisym(A),
-    or G = W A for `sgd`.  One `rnn.Workspace` and one W serve every
-    call, as in `train`; no thread limit is added beyond the package's.
+    plus the step on the bundle `train` makes from it: S = antisym(A)
+    formed over A, or G = W A for `sgd`.  One `rnn.Workspace` and one W
+    serve every call, as in `train`; no thread limit is added beyond the
+    package's.
     """
     if optimizer not in BENCH_OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -211,7 +212,7 @@ def bench_update(optimizer: str, d: int, phase: str = "update",
             if optimizer == "sgd":
                 pack = optim.GradPack(w=state.w @ grads.a, x=grads.x_blocks())
             else:
-                pack = optim.GradPack(skew=manifold.antisym(grads.a),
+                pack = optim.GradPack(skew=manifold.antisym(grads.a, out=grads.a),
                                       x=grads.x_blocks())
             step(state, pack)
 

@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -333,6 +332,11 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     initialization uses `seed`, batches use stream [seed, 1], coordinate
     selection [seed, 2].  One `rnn.Workspace` serves every iteration's
     BPTT; it is dropped on return, before the caller's eval pass.
+
+    The W path holds W and one d x d gradient: S is formed over BPTT's
+    A, the greedy selector reads it in row tiles, and it is freed
+    before the next BPTT.  A step that returns no alpha raises
+    TypeError.
     """
     task = _task_from(cfg)
     params = rnn.init_params(cfg.d, task.n_input_classes, task.n_output_classes,
@@ -354,33 +358,39 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         value, grads = rnn.backward(params, x1h, data.targets, data.mask, work)
         if not math.isfinite(value):
             raise optim.NumericError(f"non-finite loss at iteration {k}")
-        # S = A - A^T with A = W^T G from BPTT, O(d^2); making the bundle
-        # checks it once and keeps its squared norm, the gnormsq column
-        pack = optim.GradPack(skew=manifold.antisym(grads.a),
+        # S = A - A^T formed over BPTT's fresh A = W^T G, O(d^2); making
+        # the bundle checks it once and keeps its squared norm, the
+        # gnormsq column
+        pack = optim.GradPack(skew=manifold.antisym(grads.a, out=grads.a),
                               x=grads.x_blocks())
         losses[k] = value
         gnormsq[k] = pack.norm_sq
-        alphas[k] = optim.step(state, pack)
+        alphas[k] = float(optim.step(state, pack))
+        del grads, pack  # this S is freed before the next BPTT forms its A
     wall = time.perf_counter() - t0
     return TrainResult(params=params, losses=losses, alphas=alphas,
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
 
 
 _TRACE_BLOCK_ROWS = 1024  # trace.csv rows turned into Python floats at a time
+# one trace.csv row; %.17g renders a float as _cell's format(v, ".17g")
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _write_trace(rundir: RunDir, alphas: np.ndarray, losses: np.ndarray,
                  gnormsq: np.ndarray, m_k: np.ndarray) -> None:
-    """trace.csv, one row per iteration.  The columns go out as Python
-    floats (`tolist`), which format as the float64 entries do and cost
-    no numpy scalar per cell, one block of _TRACE_BLOCK_ROWS rows at a
-    time, so a long run never holds whole columns as Python lists."""
+    """trace.csv, one row per iteration, each formatted by one
+    _TRACE_ROW.  The columns go out as Python floats (`tolist`), which
+    format as the float64 entries do and cost no numpy scalar per cell,
+    one block of _TRACE_BLOCK_ROWS rows at a time, so a long run never
+    holds whole columns as Python lists."""
     cols = (alphas, losses, gnormsq, m_k)
-    blocks = (zip(range(i, i + _TRACE_BLOCK_ROWS),
-                  *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
-              for i in range(0, alphas.size, _TRACE_BLOCK_ROWS))
-    rundir.write_csv("trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
-                     itertools.chain.from_iterable(blocks))
+    with open(rundir.path / "trace.csv", "w") as fh:
+        fh.write("k,alpha,loss,gnormsq,M_K\n")
+        for i in range(0, alphas.size, _TRACE_BLOCK_ROWS):
+            rows = zip(range(i, i + _TRACE_BLOCK_ROWS),
+                       *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
+            fh.writelines(_TRACE_ROW % row for row in rows)
 
 
 def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
@@ -388,7 +398,7 @@ def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
     data = copytask.generate_batch(task, rng, mask_mode=mask_mode)
     x1h = copytask.one_hot(data.inputs, task.n_input_classes)
     _, grads = rnn.backward(params, x1h, data.targets, data.mask)
-    return manifold.skew_partials(manifold.antisym(grads.a))
+    return manifold.skew_partials(manifold.antisym(grads.a, out=grads.a))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +488,7 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     x = state.x["x"]
     for k in range(n):
         losses[k], gsq[k], grads = problem.evaluate(x, state.w, rng=noise_rng)
-        alphas[k] = optim.step(state, grads)
+        alphas[k] = float(optim.step(state, grads))
     m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)
 

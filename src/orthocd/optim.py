@@ -17,14 +17,15 @@ enforcement) is included as the unconstrained baseline.
 
 Every step on O(d) reads S = W^T G - G^T W: srgd uses S/2, the uniform
 step reads theta = S[j,l]/sqrt(2) alone, O(1), and the greedy rules
-make one pass for |S|/sqrt(2), then one argmax of it per pick, with
+read |S|/sqrt(2) in row tiles, never as a whole second d x d array,
+one pass and then per pick only the rows the pick stales, with
 theta = S[j,l]/sqrt(2) at each (Gauss-Southwell is block
-Gauss-Southwell with one pick).  A GradPack carries G or S, never
-both.  The train loop hands S: BPTT returns
-A = W^T G (`rnn.Grads`), and S = manifold.antisym(A) costs O(d^2), so
-no d^3 product is paid outside BPTT.  Handed G, a step forms
-S = manifold.skew_grad(W, G) (2d^3), except the uniform step, which
-reads two columns of W and G, O(d).
+Gauss-Southwell with one pick; see _greedy_pairs).  A GradPack carries
+G or S, never both.  The train loop hands S: BPTT returns
+A = W^T G (`rnn.Grads`), and S = manifold.antisym(A) costs O(d^2),
+formed over A, so no d^3 product is paid outside BPTT.  Handed G, a
+step forms S = manifold.skew_grad(W, G) (2d^3), except the uniform
+step, which reads two columns of W and G, O(d).
 
 OPTIMIZERS is the one table of the training optimizers: each name maps
 to its SelectionRule kind, None for srgd.  `step` takes a state to
@@ -59,6 +60,9 @@ import numpy as np
 from . import manifold
 
 _SQRT2 = math.sqrt(2.0)
+# bytes of |S|/sqrt(2) that the greedy selector holds at once: S's rows
+# are read in tiles of this size (see _greedy_pairs)
+SELECT_TILE_BYTES = 1 << 19
 
 __all__ = [
     "GradPack",
@@ -236,27 +240,90 @@ def _greedy_pairs(skew: np.ndarray, n: int) -> list[tuple[int, int]]:
     sharing no column: each is argmax_i |skew_partials(S)_i| over the
     coordinates that no earlier pick touches, ties to the smallest i.
 
-    |S|/sqrt(2) holds the partials' magnitudes bitwise (dividing first
-    keeps ties that the division's rounding makes).  Each pick sets its
-    rows and columns to -1, so the matrix stays symmetric and its first
-    row-major maximum lies in the upper triangle, in coordinate order.
-    A finite S's diagonal is 0, so it wins only a tie at 0, where the
-    rest is zero too: then the diagonal is set to -1 and the pick taken
-    again, and an all-zero S gives coordinate 1 first.  argmax takes the
-    first NaN, on the diagonal too, and the step refuses its angle.
+    Each pick is the first row-major maximum of |S|/sqrt(2) with the
+    rows and columns of the earlier picks masked to -1: |S|/sqrt(2)
+    holds the partials' magnitudes bitwise (dividing first keeps ties
+    that the division's rounding makes), and with the masks the matrix
+    stays symmetric, so that maximum lies in the upper triangle, in
+    coordinate order.  A finite S's diagonal is 0, so it wins only a
+    tie at 0, where every unmasked entry is zero too: then the pick is
+    the first unmasked off-diagonal entry of that row, and an all-zero
+    S gives coordinate 1 first.  argmax takes the first NaN, on the
+    diagonal too, and the step refuses its angle.
+
+    |S|/sqrt(2) is held SELECT_TILE_BYTES at a time, never whole
+    (unless that is all of it): up to d = 256, one tile is the masked
+    matrix, one argmax of it per pick; wider, S is read in row tiles
+    for each row's maximum and its column, and after each pick only
+    the unmasked rows whose maximum sat in a column just masked are
+    read again, since masking lowers entries and so moves no other
+    row's first maximum.
     """
     d = skew.shape[0]
-    mags = np.abs(skew)
+    n = min(n, d // 2)
+    rows = SELECT_TILE_BYTES // (8 * d)
+    if rows >= d:
+        return _masked_picks(_magnitudes(skew, np.empty((d, d))), n)
+    return _row_max_picks(skew, n, rows)
+
+
+def _magnitudes(s_rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """|S|/sqrt(2) of some rows of S, in the leading rows of buf."""
+    mags = np.abs(s_rows, out=buf[:len(s_rows)])
     mags /= _SQRT2
+    return mags
+
+
+def _masked_picks(mags: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """n picks from the whole |S|/sqrt(2), masked in place."""
+    d = mags.shape[0]
     pairs: list[tuple[int, int]] = []
-    for _ in range(min(n, d // 2)):
+    for _ in range(n):
         if pairs:
             r, c = pairs[-1]
             mags[r] = mags[c] = mags[:, r] = mags[:, c] = -1.0
-        r, c = divmod(int(np.argmax(mags)), d)
+        r, c = divmod(int(mags.argmax()), d)
         if r == c and mags[r, c] == 0.0:
             mags.reshape(-1)[:: d + 1] = -1.0
-            r, c = divmod(int(np.argmax(mags)), d)
+            r, c = divmod(int(mags.argmax()), d)
+        pairs.append((r, c))
+    return pairs
+
+
+def _row_max_picks(skew: np.ndarray, n: int, rows: int) -> list[tuple[int, int]]:
+    """n picks from each row's maximum of |S|/sqrt(2) (`top`) and its
+    first column (`col`), S read `rows` rows at a time; a masked row's
+    `col` is -1, so no masked column matches it."""
+    d = skew.shape[0]
+    buf = np.empty((rows, d))
+    top, col = np.empty(d), np.empty(d, dtype=np.intp)
+    for r0 in range(0, d, rows):
+        mags = _magnitudes(skew[r0:r0 + rows], buf)
+        at = col[r0:r0 + len(mags)] = mags.argmax(axis=1)
+        top[r0:r0 + len(mags)] = mags[np.arange(len(mags)), at]
+    masked = np.zeros(d, dtype=bool)
+    pairs: list[tuple[int, int]] = []
+    for _ in range(n):
+        if pairs:
+            r, c = pairs[-1]
+            masked[r] = masked[c] = True
+            top[r] = top[c] = -1.0
+            col[r] = col[c] = -1
+            stale = np.flatnonzero((col == r) | (col == c))
+            for k in range(0, stale.size, rows):
+                sub = stale[k:k + rows]
+                # mode="clip" writes straight into out; "raise" buffers it
+                mags = _magnitudes(
+                    np.take(skew, sub, axis=0, out=buf[:len(sub)], mode="clip"), buf)
+                mags[:, masked] = -1.0
+                at = col[sub] = mags.argmax(axis=1)
+                top[sub] = mags[np.arange(len(sub)), at]
+        r = int(top.argmax())
+        c = int(col[r])
+        if r == c and top[r] == 0.0:
+            # r is the first unmasked row and column, and every unmasked
+            # entry is zero: the next unmasked column
+            c = int(np.flatnonzero(~masked)[1])
         pairs.append((r, c))
     return pairs
 

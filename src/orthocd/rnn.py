@@ -166,8 +166,10 @@ class Grads:
 
     S = manifold.antisym(a) = W^T G - G^T W is what a step on W reads:
     the Riemannian gradient, the coordinate partials and its norm all
-    follow from it (see `manifold`).  The Euclidean gradient itself,
-    where a caller needs it, is G = W a.
+    follow from it (see `manifold`).  `a` is fresh and the caller's
+    own, so `train` forms S over it (antisym(a, out=a)) and holds one
+    d x d gradient; after that `a` is S, not A.  The Euclidean
+    gradient itself, where a caller needs it, is G = W a.
     """
 
     w_in: np.ndarray
@@ -532,8 +534,10 @@ def save_checkpoint(path, params: RnnParams, seed: int = 0) -> None:
     """Flat binary container; layout documented in the README.
 
     8-byte magic, 1 version byte, little-endian u32 d, d_in, d_out,
-    u64 seed, then float64 row-major blocks in the order
-    w_in, w, w_out, b_out, b_mod.
+    u64 seed, then little-endian float64 row-major blocks in the order
+    w_in, w, w_out, b_out, b_mod.  A block already in that form (a
+    C-contiguous float64 array on a little-endian host) is written
+    from its own buffer.
     """
     params.check()
     header = _CKPT_MAGIC + struct.pack(
@@ -542,7 +546,7 @@ def save_checkpoint(path, params: RnnParams, seed: int = 0) -> None:
         fh.write(header)
         for block in (params.w_in, params.w, params.w_out,
                       params.b_out, params.b_mod):
-            fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))  # its buffer, no copy
 
 
 def load_checkpoint(path) -> tuple[RnnParams, int]:

@@ -153,6 +153,27 @@ def naive_block_gs(v: np.ndarray, b: int, d: int) -> list[int]:
     return want
 
 
+def masked_argmax_pairs(skew: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """The greedy selector as it was before S was read in tiles: the
+    whole |S|/sqrt(2) in one array, the picked rows and columns set to
+    -1, one flat argmax per pick, and at a tie at 0 on the diagonal the
+    diagonal set to -1 and the argmax taken again.  0-based pairs; the
+    reference for the tiled selector's picks, NaN-bearing S included."""
+    d = skew.shape[0]
+    mags = np.abs(skew) / math.sqrt(2.0)
+    pairs: list[tuple[int, int]] = []
+    for _ in range(min(n, d // 2)):
+        if pairs:
+            r, c = pairs[-1]
+            mags[r] = mags[c] = mags[:, r] = mags[:, c] = -1.0
+        r, c = divmod(int(np.argmax(mags)), d)
+        if r == c and mags[r, c] == 0.0:
+            mags.reshape(-1)[:: d + 1] = -1.0
+            r, c = divmod(int(np.argmax(mags)), d)
+        pairs.append((r, c))
+    return pairs
+
+
 def central_diff(f, arr: np.ndarray, idx, h: float = 1e-6) -> float:
     """Central finite difference of the scalar f() in the arr[idx]
     direction; restores the entry afterwards."""

@@ -405,6 +405,47 @@ def test_train_gnormsq_is_the_bundles_sums(monkeypatch, name):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("name", ["srcd-gs", "srcd-block-gs"])
+def test_train_w_path_holds_w_and_one_gradient(name):
+    # d = 512 with T*B = 12: the numpy peak of a warm two-iteration run
+    # stays under W plus one d x d gradient plus 3/4 of one for the
+    # tiles (the selector's SELECT_TILE_BYTES is 1/4) and BPTT's small
+    # arrays.  A second d x d array (S beside A, an |S| copy, or the
+    # last iteration's S alive through the next BPTT) would pass it
+    d = 512
+    cfg = cli.parse_config(None, {"preset": "custom", "d": d, "copy_len": 2, "lag": 2,
+                                  "batch": 2, "optimizer": name, "iterations": 2})
+    cli.run_training(cfg)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        cli.run_training(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 8 * d * d
+    assert optim.SELECT_TILE_BYTES <= 8 * d * d / 4
+
+
+@pytest.mark.parametrize("command", ["train", "convergence"])
+def test_a_step_that_returns_no_alpha_fails_the_run(command, tmp_path, monkeypatch):
+    # the alpha column is what the step returns, as a float: a wrapper
+    # that drops it raises TypeError, where it once wrote NaN into the
+    # alpha and M_K columns, and the run is marked failed
+    real = optim.srcd_step
+
+    def spy(state, grads):
+        real(state, grads)
+
+    monkeypatch.setattr(optim, "srcd_step", spy)
+    out = tmp_path / "none"
+    args = ["train", *TINY] if command == "train" else CONV
+    with pytest.raises(TypeError):
+        run_main([*args, "--out", str(out)], tmp_path, monkeypatch)
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["status"] == "failed" and meta["error"].startswith("TypeError")
+    assert not (out / "trace.csv").exists()
+
+
 def _poison_backward(monkeypatch):
     # inject a NaN into the W gradient: making the gradient bundle must
     # refuse it, and the refusal surface as the numeric exit code
@@ -608,6 +649,16 @@ def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
         want = oracles.trace_csv_bytes(*cols)
         assert (tmp_path / "trace.csv").read_bytes() == want, n
     assert peak <= 1e6
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                   1.7e308, 0.1, -2e-4, 1.7976931348623157e308])
+def test_trace_row_format_renders_as_cell(value):
+    # trace.csv formats a row at once; each cell is what _cell renders
+    # alone, the row index (up to a large k) included
+    for k in (0, 7, 10**6, 2**63 + 5):
+        row = (k, value, -value, value, value)
+        assert cli._TRACE_ROW % row == ",".join(map(cli._cell, row)) + "\n"
 
 
 def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):

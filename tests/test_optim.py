@@ -6,8 +6,8 @@ import pytest
 from orthocd import manifold as mf
 from orthocd import optim, rnn
 
-from oracles import (central_diff, dense_basis, naive_block_gs, select_gauss_southwell,
-                     taylor_expm)
+from oracles import (central_diff, dense_basis, masked_argmax_pairs, naive_block_gs,
+                     select_gauss_southwell, taylor_expm)
 
 
 def random_w(d, seed=0):
@@ -201,6 +201,45 @@ def test_select_block_gs_never_shares_columns():
     cols = [c for i in coords for c in mf.coord_pair(i, d)]
     assert len(cols) == len(set(cols))
     assert len(coords) == d // 2
+
+
+def _selector_cases(d, rng):
+    # random, half-rounded (exact ties), all-zero and NaN-bearing S
+    a = rng.standard_normal((d, d))
+    yield "random", a - a.T
+    a = np.round(2.0 * rng.standard_normal((d, d))) / 2.0
+    yield "rounded", a - a.T
+    yield "zero", np.zeros((d, d))
+    a = rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 2.0 / d] = np.nan
+    a[d // 3, d // 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        yield "nan", a - a.T
+
+
+@pytest.mark.parametrize("d, tile_rows", [
+    (9, None), (64, None), (256, None),  # one tile holds S
+    (9, 1), (9, 2), (40, 3), (64, 7),     # several tiles, by a smaller tile
+    (257, None), (300, None), (513, None)])
+def test_greedy_pairs_are_the_masked_argmax_and_the_walk(d, tile_rows, monkeypatch):
+    # the tiled selector picks what the whole masked |S|/sqrt(2) picked
+    # (oracles.masked_argmax_pairs), and, for a finite S, the block
+    # Gauss-Southwell walk by its definition, with 1, 2, d/5 and d/2
+    # picks; tile_rows shrinks the tiles so small S spans several
+    if tile_rows is not None:
+        monkeypatch.setattr(optim, "SELECT_TILE_BYTES", 8 * d * tile_rows)
+    rows = optim.SELECT_TILE_BYTES // (8 * d)
+    assert (rows >= d) == (tile_rows is None and d <= 256)
+    rng = np.random.default_rng(d)
+    for name, skew in _selector_cases(d, rng):
+        v = mf.skew_partials(skew)
+        for n in sorted({1, 2, max(1, d // 5), d // 2}):
+            with np.errstate(invalid="ignore"):
+                got = optim._greedy_pairs(skew, n)
+                assert got == masked_argmax_pairs(skew, n), (name, n)
+            if name != "nan" and d <= 300:
+                want = naive_block_gs(v, n, d)
+                assert [mf.coord_index(r + 1, c + 1, d) for r, c in got] == want, (name, n)
 
 
 # ---------------------------------------------------------------------------

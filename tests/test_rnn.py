@@ -744,6 +744,24 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert np.array_equal(getattr(params, name), getattr(loaded, name))
 
 
+def test_checkpoint_bytes_are_the_readme_layout(tmp_path):
+    # magic, version, little-endian u32 d, d_in, d_out and u64 seed, then
+    # each block as little-endian float64, row-major, built here by
+    # struct and astype; blocks held big-endian or column-major write
+    # the same bytes
+    params = rnn.init_params(10, 7, 6, seed=26)
+    order = ("w_in", "w", "w_out", "b_out", "b_mod")
+    want = b"ORNNCKP\0" + struct.pack("<BIIIQ", 1, 10, 7, 6, 2**64 - 3) + b"".join(
+        getattr(params, name).astype("<f8").tobytes(order="C") for name in order)
+    foreign = dataclasses.replace(params, w_in=params.w_in.astype(">f8"),
+                                  w=np.asfortranarray(params.w),
+                                  w_out=params.w_out.astype(">f8", order="F"))
+    for i, p in enumerate((params, foreign)):
+        path = tmp_path / f"model{i}.bin"
+        rnn.save_checkpoint(path, p, seed=2**64 - 3)
+        assert path.read_bytes() == want
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     params = rnn.init_params(8, 5, 4, seed=26)
     path = tmp_path / "model.bin"
