@@ -212,7 +212,7 @@ def bench_update(optimizer: str, d: int, phase: str = "update",
             if optimizer == "sgd":
                 pack = optim.GradPack(w=state.w @ grads.a, x=grads.x_blocks())
             else:
-                pack = optim.GradPack(skew=manifold.antisym(grads.a, out=grads.a),
+                pack = optim.GradPack(skew=manifold.antisym(grads.a),
                                       x=grads.x_blocks())
             step(state, pack)
 

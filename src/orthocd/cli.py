@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -289,10 +290,20 @@ class RunDir:
         self._write_meta()
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
+        """One line per row, a tuple of cells.  A column's cells are
+        formatted as `_cell` formats its first row's, so the file takes
+        one %-format per row: %.17g under a float, %s under anything
+        else (str(v), as `_cell` has it)."""
+        rows = iter(rows)
         with open(self.path / name, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+            first = next(rows, None)
+            if first is None:
+                return
+            fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
+                           for v in first) + "\n"
+            fh.write(fmt % first)
+            fh.writelines(fmt % row for row in rows)
 
     def write_json(self, name: str, obj) -> None:
         (self.path / name).write_text(
@@ -361,7 +372,7 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
         # S = A - A^T formed over BPTT's fresh A = W^T G, O(d^2); making
         # the bundle checks it once and keeps its squared norm, the
         # gnormsq column
-        pack = optim.GradPack(skew=manifold.antisym(grads.a, out=grads.a),
+        pack = optim.GradPack(skew=manifold.antisym(grads.a),
                               x=grads.x_blocks())
         losses[k] = value
         gnormsq[k] = pack.norm_sq
@@ -373,24 +384,20 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
 
 
 _TRACE_BLOCK_ROWS = 1024  # trace.csv rows turned into Python floats at a time
-# one trace.csv row; %.17g renders a float as _cell's format(v, ".17g")
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _write_trace(rundir: RunDir, alphas: np.ndarray, losses: np.ndarray,
                  gnormsq: np.ndarray, m_k: np.ndarray) -> None:
-    """trace.csv, one row per iteration, each formatted by one
-    _TRACE_ROW.  The columns go out as Python floats (`tolist`), which
-    format as the float64 entries do and cost no numpy scalar per cell,
-    one block of _TRACE_BLOCK_ROWS rows at a time, so a long run never
-    holds whole columns as Python lists."""
+    """trace.csv, one row per iteration.  The columns go out as Python
+    floats (`tolist`), which format as the float64 entries do and cost
+    no numpy scalar per cell, one block of _TRACE_BLOCK_ROWS rows at a
+    time, so a long run never holds whole columns as Python lists."""
     cols = (alphas, losses, gnormsq, m_k)
-    with open(rundir.path / "trace.csv", "w") as fh:
-        fh.write("k,alpha,loss,gnormsq,M_K\n")
-        for i in range(0, alphas.size, _TRACE_BLOCK_ROWS):
-            rows = zip(range(i, i + _TRACE_BLOCK_ROWS),
-                       *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
-            fh.writelines(_TRACE_ROW % row for row in rows)
+    blocks = (zip(range(i, i + _TRACE_BLOCK_ROWS),
+                  *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
+              for i in range(0, alphas.size, _TRACE_BLOCK_ROWS))
+    rundir.write_csv("trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
+                     itertools.chain.from_iterable(blocks))
 
 
 def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
@@ -398,7 +405,7 @@ def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
     data = copytask.generate_batch(task, rng, mask_mode=mask_mode)
     x1h = copytask.one_hot(data.inputs, task.n_input_classes)
     _, grads = rnn.backward(params, x1h, data.targets, data.mask)
-    return manifold.skew_partials(manifold.antisym(grads.a, out=grads.a))
+    return manifold.skew_partials(manifold.antisym(grads.a))
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,8 @@ class GradPack:
     +-inf raises NumericError and huge finite entries pass.  An S
     bundle keeps `norm_sq` = ||S||_F^2/4 + the X sums, the squared
     Riemannian gradient norm (None for G: it needs W).  It is frozen;
-    the steps scan nothing.
+    the steps scan nothing.  An S of another dtype is kept as its
+    float64 copy, the one dtype the steps read S in.
     """
 
     w: np.ndarray | None = None
@@ -167,6 +168,9 @@ class GradPack:
         w, skew = self.w, self.skew
         if (w is None) == (skew is None):
             raise ValueError("a GradPack carries G or S, exactly one of them")
+        if skew is not None:  # the same array when it is float64 already
+            skew = np.asarray(skew, dtype=np.float64)
+            object.__setattr__(self, "skew", skew)
         g, name = (w, "w") if skew is None else (skew, "skew")
         w_sq = _checked(np.vdot(g, g), g, name)
         # (g * g).sum() is np.sum(g * g), one add.reduce, without np.sum's dispatch

@@ -167,9 +167,9 @@ class Grads:
     S = manifold.antisym(a) = W^T G - G^T W is what a step on W reads:
     the Riemannian gradient, the coordinate partials and its norm all
     follow from it (see `manifold`).  `a` is fresh and the caller's
-    own, so `train` forms S over it (antisym(a, out=a)) and holds one
-    d x d gradient; after that `a` is S, not A.  The Euclidean
-    gradient itself, where a caller needs it, is G = W a.
+    own, and antisym writes S over it, so `train` holds one d x d
+    gradient; after that `a` is S, not A.  The Euclidean gradient
+    itself, where a caller needs it, is G = W a, formed before antisym.
     """
 
     w_in: np.ndarray

@@ -653,12 +653,18 @@ def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
 
 @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                                    1.7e308, 0.1, -2e-4, 1.7976931348623157e308])
-def test_trace_row_format_renders_as_cell(value):
-    # trace.csv formats a row at once; each cell is what _cell renders
-    # alone, the row index (up to a large k) included
-    for k in (0, 7, 10**6, 2**63 + 5):
-        row = (k, value, -value, value, value)
-        assert cli._TRACE_ROW % row == ",".join(map(cli._cell, row)) + "\n"
+def test_csv_row_format_renders_as_cell(value, tmp_path):
+    # write_csv formats a row at once, by a format taken from its first
+    # row; each cell is what _cell renders alone: the row index up to a
+    # large k, Python and numpy floats and ints, a string
+    rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
+    rows = [(k, value, -value, np.float64(value), np.int64(k % 2**62), "srcd-gs")
+            for k in (0, 7, 10**6, 2**63 + 5)]
+    rundir.write_csv("cells.csv", ["k", "a", "b", "c", "n", "name"], iter(rows))
+    want = ["k,a,b,c,n,name"] + [",".join(map(cli._cell, row)) for row in rows]
+    assert (tmp_path / "cells.csv").read_text() == "\n".join(want) + "\n"
+    rundir.write_csv("empty.csv", ["k"], [])
+    assert (tmp_path / "empty.csv").read_text() == "k\n"
 
 
 def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):

@@ -242,6 +242,20 @@ def test_greedy_pairs_are_the_masked_argmax_and_the_walk(d, tile_rows, monkeypat
                 assert [mf.coord_index(r + 1, c + 1, d) for r, c in got] == want, (name, n)
 
 
+@pytest.mark.parametrize("d, b", [(9, 2), (300, 1), (300, 2), (300, 60)])
+def test_a_float32_skew_is_stepped_as_its_float64_copy(d, b):
+    # a bundle keeps S as float64, so the selector's float64 row
+    # buffers take a float32 S too (wider than one tile at d = 300,
+    # where its re-read of stale rows once refused the cast), and the
+    # step is the one on the float64 copy, bitwise
+    a = np.random.default_rng(d).standard_normal((d, d)).astype(np.float32)
+    s32 = a - a.T
+    assert optim.GradPack(skew=s32).skew.dtype == np.float64
+    got, want = _block_step(s32, b), _block_step(s32.astype(np.float64), b)
+    assert got.last_coords == want.last_coords
+    assert got.w.tobytes() == want.w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
