@@ -480,7 +480,10 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     """SRCD-U on the synthetic quadratic; exact squared gradient norms
     recorded every iteration, noisy gradients fed to the optimizer.
     One `SyntheticProblem.evaluate` per iteration gives the loss, the
-    squared norm and the gradient from one residual."""
+    squared norm and the gradient from one residual.  The noise comes
+    from `SyntheticProblem.noise` on stream [seed, 5], drawn for a
+    block of iterations per call, the same numbers in the same order
+    as one `grads(rng=...)` call per iteration."""
     problem = optim.SyntheticProblem.make(
         cfg.conv_d, (cfg.x_dim, cfg.x_dim), noise_std=cfg.noise_std,
         seed=cfg.seed)
@@ -493,8 +496,8 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     gsq = np.empty(n)
     losses = np.empty(n)
     x = state.x["x"]
-    for k in range(n):
-        losses[k], gsq[k], grads = problem.evaluate(x, state.w, rng=noise_rng)
+    for k, noise in enumerate(problem.noise(n, noise_rng)):
+        losses[k], gsq[k], grads = problem.evaluate(x, state.w, noise)
         alphas[k] = float(optim.step(state, grads))
     m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)

@@ -37,7 +37,11 @@ SyntheticProblem is the convergence harness's quadratic.  Its
 `evaluate` forms the residuals once and returns the loss, the exact
 squared gradient norm and the gradient the step is handed, so the
 harness pays one objective evaluation per iteration; `loss`,
-`grad_norm_sq` and `grads` give the same values one at a time.
+`grad_norm_sq` and `grads` give the same values one at a time.  The
+oracle noise is drawn for a block of iterations at once (`noise`,
+one `normal` call per NOISE_BLOCK_BYTES), from the same stream and in
+the same order as one `grads(rng=...)` call per iteration draws it,
+and `evaluate` adds one iteration's pair.
 
 States mutate their parameter arrays in place and are single-owner;
 a step returns the alpha it took.  Making a GradPack raises
@@ -52,17 +56,22 @@ moves neither X nor W, nor counts.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import manifold
+from . import blas, manifold
 
 _SQRT2 = math.sqrt(2.0)
 # bytes of |S|/sqrt(2) that the greedy selector holds at once: S's rows
 # are read in tiles of this size (see _greedy_pairs)
 SELECT_TILE_BYTES = 1 << 19
+# bytes of synthetic-oracle noise drawn in one `normal` call: whole
+# iterations' rows, at least one (see SyntheticProblem.noise)
+NOISE_BLOCK_BYTES = 1 << 17
 
 __all__ = [
     "GradPack",
@@ -154,7 +163,12 @@ class GradPack:
     a sum is not finite the exact entrywise test decides, so NaN or
     +-inf raises NumericError and huge finite entries pass.  An S
     bundle keeps `norm_sq` = ||S||_F^2/4 + the X sums, the squared
-    Riemannian gradient norm (None for G: it needs W).  It is frozen;
+    Riemannian gradient norm (None for G: it needs W).  ||S||_F^2 is
+    summed with numpy's BLAS held at one thread, since OpenBLAS splits
+    a long dot product across its threads (above 10 000 entries) and
+    the split sum rounds otherwise; `train` records norm_sq, so its
+    bits do not depend on the thread count.  A G bundle's sum is only
+    a finiteness check and runs unheld.  It is frozen;
     the steps scan nothing.  An S of another dtype is kept as its
     float64 copy, the one dtype the steps read S in.
     """
@@ -171,8 +185,11 @@ class GradPack:
         if skew is not None:  # the same array when it is float64 already
             skew = np.asarray(skew, dtype=np.float64)
             object.__setattr__(self, "skew", skew)
-        g, name = (w, "w") if skew is None else (skew, "skew")
-        w_sq = _checked(np.vdot(g, g), g, name)
+        if skew is None:  # only a finiteness check
+            w_sq = _checked(np.vdot(w, w), w, "w")
+        else:  # norm_sq: one thread, so its bits do not depend on the count
+            with blas.held_threads():
+                w_sq = _checked(np.vdot(skew, skew), skew, "skew")
         # (g * g).sum() is np.sum(g * g), one add.reduce, without np.sum's dispatch
         x_sq = sum([_checked((g * g).sum(), g, name) for name, g in self.x.items()])
         if skew is not None:  # ||grad_W||^2 = ||S||_F^2 / 4
@@ -455,7 +472,10 @@ class SyntheticProblem:
     construction (unbiased, bounded second moment).
 
     The convergence harness calls `evaluate` once per iteration, which
-    forms W A - B, X - C and G = (W A - B) A^T a single time.
+    forms W A - B, X - C and G = (W A - B) A^T a single time, and takes
+    each iteration's noise from `noise`, which draws it in blocks of
+    iterations; `grads(rng=...)` draws one iteration's noise per call
+    and is the reference the block draws are tested against.
     """
 
     a: np.ndarray
@@ -513,22 +533,55 @@ class SyntheticProblem:
         v = manifold.all_partials(w, g_w)
         return float(np.linalg.norm(x - self.c) ** 2 + v @ v)
 
+    def noise(self, n: int, rng: np.random.Generator | None
+              ) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+        """The oracle noise of n iterations for `evaluate`, one
+        (e_W, e_X) pair per iteration, or None each when `grads` would
+        add none (no rng, or noise_std not > 0), with no draw.
+
+        Row k of a draw is iteration k's W block, then its X block: the
+        numbers n calls of `grads(rng=rng)` draw, in the same order,
+        and the rng ends where those calls leave it.  One
+        `rng.normal(0, noise_std, (m, d^2 + X.size))` call draws m rows,
+        NOISE_BLOCK_BYTES of them but at least one (60 at d=16 with a
+        4 x 4 X, one from d=128 up), and no draw runs past iteration n.
+        Each pair is a view of its row of the draw.
+        """
+        if rng is None or not self.noise_std > 0.0:
+            yield from itertools.repeat(None, n)
+            return
+        d2, width = self.a.size, self.a.size + self.c.size
+        rows = max(1, NOISE_BLOCK_BYTES // (8 * width))
+        for k0 in range(0, n, rows):
+            block = rng.normal(0.0, self.noise_std, (min(rows, n - k0), width))
+            yield from zip(block[:, :d2].reshape(-1, *self.a.shape),
+                           block[:, d2:].reshape(-1, *self.c.shape))
+
     def evaluate(self, x: np.ndarray, w: np.ndarray,
-                 rng: np.random.Generator | None = None
+                 noise: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[float, float, GradPack]:
         """(loss, grad_norm_sq, grads) at (x, w), bitwise those methods'
-        values, from one W A - B, X - C and G; with an rng the noise is
-        drawn as `grads` draws it, W block first, then X."""
-        r_w = w @ self.a - self.b
+        values, from one W A - B, X - C and G; `noise` is one pair from
+        `noise`, (e_W, e_X), added to G and g_X, so grads is then
+        bitwise `grads(rng=...)` at the same draws.
+
+        W A - B is formed in place, and each squared norm is
+        np.sqrt(f.dot(f)) ** 2 on the flattened array, the arithmetic
+        of np.linalg.norm(f) ** 2 without its call."""
+        r_w = w @ self.a
+        r_w -= self.b
         g_w = r_w @ self.a.T
         g_x = x - self.c
-        x_sq = np.linalg.norm(g_x) ** 2
+        f = g_x.ravel("K")
+        x_sq = np.sqrt(f.dot(f)) ** 2
         v = manifold.all_partials(w, g_w)
-        loss = 0.5 * float(np.linalg.norm(r_w) ** 2 + x_sq)
+        f = r_w.ravel("K")
+        loss = 0.5 * float(np.sqrt(f.dot(f)) ** 2 + x_sq)
         gnormsq = float(x_sq + v @ v)
-        if rng is not None and self.noise_std > 0.0:
-            g_w += rng.normal(0.0, self.noise_std, size=g_w.shape)
-            g_x += rng.normal(0.0, self.noise_std, size=g_x.shape)
+        if noise is not None:
+            e_w, e_x = noise
+            g_w += e_w
+            g_x += e_x
         return loss, gnormsq, GradPack(w=g_w, x={"x": g_x})
 
     def state(self, schedule: StepSchedule,

@@ -600,15 +600,61 @@ def _overrides(args):
     return {flag[2:]: raw for flag, raw in zip(args[::2], args[1::2])}
 
 
+# with a 4 x 4 X the noise of 315, 252 and 60 iterations is drawn per
+# call at d = 6, 7 and 16, so 317 iterations end in a partial draw
 @pytest.mark.parametrize("noise_std, conv_d", [("0.1", "6"), ("0", "6"),
-                                               ("0.1", "7")])
+                                               ("0.1", "7"), ("0.1", "16"),
+                                               ("0", "16")])
 def test_run_convergence_matches_the_three_call_loop(noise_std, conv_d):
     cfg = cli.parse_config(overrides={**_overrides(CONV[1:]), "conv_d": conv_d,
-                                      "noise_std": noise_std, "seed": "2"})
+                                      "noise_std": noise_std, "seed": "2",
+                                      "iterations": "317"})
     got = cli.run_convergence(cfg, seed=3)
     want = oracles.run_convergence_three_calls(cfg, 3)
     for name, ref in zip(("alphas", "grad_norm_sq", "losses", "m"), want):
         assert getattr(got, name).tobytes() == ref.tobytes(), name
+
+
+class _CountingRng:
+    """A Generator that records the size of each `normal` call."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def normal(self, loc, scale, size):
+        self._sizes.append(size)
+        return self._rng.normal(loc, scale, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("noise_std", ["0.1", "0"])
+def test_run_convergence_draws_its_noise_in_blocks(noise_std, monkeypatch):
+    n, d, x_dim = 317, 16, 4
+    cfg = cli.parse_config(overrides={**_overrides(CONV[1:]), "conv_d": str(d),
+                                      "x_dim": str(x_dim), "noise_std": noise_std,
+                                      "iterations": str(n)})
+    width = d * d + x_dim * x_dim
+    rows = optim.NOISE_BLOCK_BYTES // (8 * width)
+    assert rows == 60
+    sizes, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: _CountingRng(real(*a, **k), sizes))
+    cli.run_convergence(cfg, seed=3)
+    monkeypatch.undo()
+    if cfg.noise_std > 0:  # ceil(n / rows) calls, none past iteration n
+        assert sizes == [(rows, width)] * (n // rows) + [(n % rows, width)]
+    else:
+        assert sizes == []
+    # the helper's rng ends where n calls of grads(rng=...) leave it
+    problem = optim.SyntheticProblem.make(d, (x_dim, x_dim), noise_std=cfg.noise_std)
+    x, w = problem.init(0)
+    rng_a, rng_b = np.random.default_rng([3, 5]), np.random.default_rng([3, 5])
+    assert sum(1 for _ in problem.noise(n, rng_a)) == n
+    for _ in range(n):
+        problem.grads(x, w, rng=rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_trace_csv_is_the_per_cell_format(tmp_path, monkeypatch):
@@ -764,6 +810,34 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert (tmp_path / "run" / "trace.csv").exists()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at d=190, ||S||^2 has 36 100 entries, which OpenBLAS's dot splits
+    # across two threads; T*B*d^2 is below BPTT_THREADED_MIN_WORK, so
+    # BPTT is held at one thread and gnormsq is the one sum at stake
+    args = ["train", "--preset", "custom", "--d", "190", "--copy_len", "5",
+            "--lag", "10", "--batch", "8", "--iterations", "3",
+            "--optimizer", "srcd-gs"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthocd.cli", *args, "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["machine"]["openblas_threads"].get("numpy", int(threads)) \
+            == int(threads)
+        outs.append(out)
+    for name in ("trace.csv", "checkpoint.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # summary.json holds the wall time too; every other entry must match
+    first, second = (json.loads((o / "summary.json").read_text()) for o in outs)
+    del first["wall_time_s"], second["wall_time_s"]
+    assert first == second
 
 
 def test_sigterm_marks_run_interrupted(tmp_path):

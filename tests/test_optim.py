@@ -882,9 +882,9 @@ def test_synthetic_evaluate_is_the_three_methods_bitwise(noise_std):
     want = prob.grads(x, w)
     assert grads.w.tobytes() == want.w.tobytes()
     assert grads.x["x"].tobytes() == want.x["x"].tobytes()
-    # with an rng: the same draws, W block first, then X
+    # with noise from the helper: the same draws, W block first, then X
     rng_a, rng_b = np.random.default_rng(33), np.random.default_rng(33)
-    loss_n, gnormsq_n, noisy = prob.evaluate(x, w, rng=rng_a)
+    loss_n, gnormsq_n, noisy = prob.evaluate(x, w, next(prob.noise(1, rng_a)))
     want = prob.grads(x, w, rng=rng_b)
     assert (loss_n, gnormsq_n) == (loss, gnormsq)
     assert noisy.w.tobytes() == want.w.tobytes()
