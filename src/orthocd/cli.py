@@ -291,9 +291,9 @@ class RunDir:
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         """One line per row, a tuple of cells.  A column's cells are
-        formatted as `_cell` formats its first row's, so the file takes
-        one %-format per row: %.17g under a float, %s under anything
-        else (str(v), as `_cell` has it)."""
+        formatted by its first row's cell, so the file takes one
+        %-format per row: %.17g under a float (np.float64 too, a float
+        subclass), %s, str(v), under anything else."""
         rows = iter(rows)
         with open(self.path / name, "w") as fh:
             fh.write(",".join(header) + "\n")
@@ -308,12 +308,6 @@ class RunDir:
     def write_json(self, name: str, obj) -> None:
         (self.path / name).write_text(
             json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):  # np.float64 too, a float subclass
-        return format(v, ".17g")
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +477,29 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     squared norm and the gradient from one residual.  The noise comes
     from `SyntheticProblem.noise` on stream [seed, 5], drawn for a
     block of iterations per call, the same numbers in the same order
-    as one `grads(rng=...)` call per iteration."""
-    problem = optim.SyntheticProblem.make(
-        cfg.conv_d, (cfg.x_dim, cfg.x_dim), noise_std=cfg.noise_std,
-        seed=cfg.seed)
-    schedule = _schedule_from(cfg)
-    state = problem.state(schedule, rule=optim.SelectionRule("uniform"),
-                          seed=seed)
-    noise_rng = np.random.default_rng([seed, 5])
-    n = cfg.iterations
-    alphas = np.empty(n)
-    gsq = np.empty(n)
-    losses = np.empty(n)
-    x = state.x["x"]
-    for k, noise in enumerate(problem.noise(n, noise_rng)):
-        losses[k], gsq[k], grads = problem.evaluate(x, state.w, noise)
-        alphas[k] = float(optim.step(state, grads))
-    m = analysis.convergence_metric(alphas, gsq)
+    as one `grads(rng=...)` call per iteration.
+
+    The run holds numpy's BLAS pool at one thread (`blas.held_threads`),
+    so its outputs do not depend on the thread count (unheld, conv_d=128
+    rounded otherwise at 2 threads).  That costs no measurable time at
+    conv_d 16 and 128; wider, the oracle's products lose a thread."""
+    with blas.held_threads():
+        problem = optim.SyntheticProblem.make(
+            cfg.conv_d, (cfg.x_dim, cfg.x_dim), noise_std=cfg.noise_std,
+            seed=cfg.seed)
+        schedule = _schedule_from(cfg)
+        state = problem.state(schedule, rule=optim.SelectionRule("uniform"),
+                              seed=seed)
+        noise_rng = np.random.default_rng([seed, 5])
+        n = cfg.iterations
+        alphas = np.empty(n)
+        gsq = np.empty(n)
+        losses = np.empty(n)
+        x = state.x["x"]
+        for k, noise in enumerate(problem.noise(n, noise_rng)):
+            losses[k], gsq[k], grads = problem.evaluate(x, state.w, noise)
+            alphas[k] = float(optim.step(state, grads))
+        m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)
 
 

@@ -68,7 +68,7 @@ _SQRT2 = math.sqrt(2.0)
 
 ORTHOGONALITY_TOL = 1e-8
 SKEW_TOL = 1e-10  # the one skew check, matrix_expm's (exp_map's through it)
-SKEW_BLOCKED_MIN_D = 512  # tiled from this width: see _with_transpose, antisym
+SKEW_BLOCKED_MIN_D = 512  # tiled from this width: see _with_transpose
 _TILE = 128  # the tiles' side
 
 
@@ -155,20 +155,39 @@ def _triu_flat(d: int) -> np.ndarray:
     return flat
 
 
-def _with_transpose(op: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """op(a, a.T) for an elementwise ufunc, bitwise, in O(d^2).  From
-    SKEW_BLOCKED_MIN_D up it is formed in square tiles: a strided
-    transpose of the whole matrix misses cache on every read (a - a.T
-    at d=1024 on 2 vCPUs: 18 -> 9 ms); below that width the one-shot
-    form is faster."""
+def _with_transpose(op: np.ufunc, a: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """op(a, a.T) for an elementwise ufunc, bitwise, in O(d^2): into a
+    fresh array (`matrix_expm`'s check and repair), or over a with
+    out=a (`antisym`).  Each entry is the one op of op(a, a.T), so the
+    bits, signed zeros and NaN included, are the same.
+
+    From SKEW_BLOCKED_MIN_D up it walks the tile pairs (r, c), r <= c,
+    through one tile buffer: op(a[r,c], a[c,r]^T) into the buffer,
+    op(a[c,r], a[r,c]^T) into [c,r] (over a, numpy copies the one tile
+    a[r,c]^T, as the two share a base), the buffer into [r,c].  A
+    strided transpose of the whole matrix misses cache on every read:
+    over a at d=1024 on 2 vCPUs, 8.9 ms one-shot against 3.2 ms for
+    the walk.  Below that width the walk's per-tile work costs more
+    than its cache reuse saves (over a: 0.6 against 6.3 us at d=16, 3.6
+    against 9.5 us at d=64, 364 against 544 us at d=511; greedy steps
+    handed G read it at d=16 and 64), so it is one call, over a against
+    a contiguous copy of a.T.
+    """
     d = a.shape[0]
     if d < SKEW_BLOCKED_MIN_D:
-        return op(a, a.T)
-    out = np.empty_like(a)
+        return op(a, a.T.copy() if out is a else a.T, out=out)
+    if out is None:
+        out = np.empty_like(a)
+    buf = np.empty((_TILE, _TILE))
     for r in range(0, d, _TILE):
-        for c in range(0, d, _TILE):
-            op(a[r:r + _TILE, c:c + _TILE], a[c:c + _TILE, r:r + _TILE].T,
-               out=out[r:r + _TILE, c:c + _TILE])
+        for c in range(r, d, _TILE):
+            upper = a[r:r + _TILE, c:c + _TILE]
+            lower = a[c:c + _TILE, r:r + _TILE]
+            tile = op(upper, lower.T, out=buf[:len(upper), :len(lower)])
+            if c != r:
+                op(lower, upper.T, out=out[c:c + _TILE, r:r + _TILE])
+            out[r:r + _TILE, c:c + _TILE] = tile
     return out
 
 
@@ -177,33 +196,8 @@ def antisym(a: np.ndarray) -> np.ndarray:
     from A = W^T G, when a caller (BPTT, see `rnn.Grads`) has A
     without forming the product.  a must be the caller's own; it is S
     afterwards, so the caller holds one d x d array, not two.
-
-    From SKEW_BLOCKED_MIN_D up it walks the tile pairs (r, c), r <= c,
-    through one tile buffer: S[r,c] = A[r,c] - A[c,r]^T into the
-    buffer, A[c,r] -= A[r,c]^T in place (numpy copies the one tile
-    A[r,c]^T, as the two share a base), the buffer back into [r,c]; at
-    d=1024 on 2 vCPUs that took 3.2 ms against 8.9 ms for the one-shot
-    form below.  Below that width a contiguous copy of a.T is
-    subtracted, since there the walk's per-tile work costs more than
-    its cache reuse saves: 0.6 against 6.3 us at d=16, 3.6 against
-    9.5 us at d=64, 364 against 544 us at d=511 (the greedy step
-    handed G, `skew_grad`, reads it at d=16 and 64 in tens of us).
-    Each entry is the one subtraction of a - a.T, so the bits, signed
-    zeros and NaN included, are the same.
     """
-    d = a.shape[0]
-    if d < SKEW_BLOCKED_MIN_D:
-        return np.subtract(a, a.T.copy(), out=a)
-    buf = np.empty((_TILE, _TILE))
-    for r in range(0, d, _TILE):
-        for c in range(r, d, _TILE):
-            upper = a[r:r + _TILE, c:c + _TILE]
-            lower = a[c:c + _TILE, r:r + _TILE]
-            tile = np.subtract(upper, lower.T, out=buf[:len(upper), :len(lower)])
-            if c != r:
-                lower -= upper.T
-            upper[...] = tile
-    return a
+    return _with_transpose(np.subtract, a, out=a)
 
 
 def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -178,9 +178,7 @@ class Grads:
     b_out: np.ndarray
     b_mod: np.ndarray
 
-    def x_blocks(self) -> dict[str, np.ndarray]:
-        return {"w_in": self.w_in, "w_out": self.w_out,
-                "b_out": self.b_out, "b_mod": self.b_mod}
+    x_blocks = RnnParams.x_blocks  # the X blocks' gradients, by the same names
 
 
 class Workspace:

@@ -297,6 +297,14 @@ def run_convergence_three_calls(cfg, seed: int):
     return alphas, gsq, losses, m
 
 
+def csv_cell(v) -> str:
+    """One CSV cell as the CLI writes it: a float (np.float64 too, a
+    float subclass) to 17 significant digits, anything else as str."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
 def trace_csv_bytes(alphas, losses, gnormsq, m_k) -> bytes:
     """trace.csv written cell by cell: k as an int, every other entry
     as format(float(v), ".17g")."""

@@ -701,13 +701,13 @@ def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
                                    1.7e308, 0.1, -2e-4, 1.7976931348623157e308])
 def test_csv_row_format_renders_as_cell(value, tmp_path):
     # write_csv formats a row at once, by a format taken from its first
-    # row; each cell is what _cell renders alone: the row index up to a
+    # row; each cell is what csv_cell renders alone: the row index up to a
     # large k, Python and numpy floats and ints, a string
     rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
     rows = [(k, value, -value, np.float64(value), np.int64(k % 2**62), "srcd-gs")
             for k in (0, 7, 10**6, 2**63 + 5)]
     rundir.write_csv("cells.csv", ["k", "a", "b", "c", "n", "name"], iter(rows))
-    want = ["k,a,b,c,n,name"] + [",".join(map(cli._cell, row)) for row in rows]
+    want = ["k,a,b,c,n,name"] + [",".join(map(oracles.csv_cell, row)) for row in rows]
     assert (tmp_path / "cells.csv").read_text() == "\n".join(want) + "\n"
     rundir.write_csv("empty.csv", ["k"], [])
     assert (tmp_path / "empty.csv").read_text() == "k\n"
@@ -812,14 +812,10 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "run" / "trace.csv").exists()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
-def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at d=190, ||S||^2 has 36 100 entries, which OpenBLAS's dot splits
-    # across two threads; T*B*d^2 is below BPTT_THREADED_MIN_WORK, so
-    # BPTT is held at one thread and gnormsq is the one sum at stake
-    args = ["train", "--preset", "custom", "--d", "190", "--copy_len", "5",
-            "--lag", "10", "--batch", "8", "--iterations", "3",
-            "--optimizer", "srcd-gs"]
+def _outputs_at_one_and_two_threads(args, tmp_path):
+    """Run `orthocd <args>` in a subprocess at OPENBLAS_NUM_THREADS=1,
+    then 2, check that trace.csv and summary.json agree, and return the
+    two run directories."""
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
@@ -832,12 +828,36 @@ def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert meta["machine"]["openblas_threads"].get("numpy", int(threads)) \
             == int(threads)
         outs.append(out)
-    for name in ("trace.csv", "checkpoint.bin"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    # summary.json holds the wall time too; every other entry must match
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+    # a train summary.json holds the wall time too; every other entry must match
     first, second = (json.loads((o / "summary.json").read_text()) for o in outs)
-    del first["wall_time_s"], second["wall_time_s"]
+    first.pop("wall_time_s", None)
+    second.pop("wall_time_s", None)
     assert first == second
+    return outs
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at d=190, ||S||^2 has 36 100 entries, which OpenBLAS's dot splits
+    # across two threads; T*B*d^2 is below BPTT_THREADED_MIN_WORK, so
+    # BPTT is held at one thread and gnormsq is the one sum at stake
+    args = ["train", "--preset", "custom", "--d", "190", "--copy_len", "5",
+            "--lag", "10", "--batch", "8", "--iterations", "3",
+            "--optimizer", "srcd-gs"]
+    outs = _outputs_at_one_and_two_threads(args, tmp_path)
+    assert (outs[0] / "checkpoint.bin").read_bytes() == \
+        (outs[1] / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_convergence_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at conv_d=128 the oracle's sums and products are wide enough for
+    # OpenBLAS to split across two threads; run_convergence holds one
+    args = ["convergence", "--schedule", "polynomial", "--alpha0", "1.0",
+            "--offset", "1000", "--robbins_monro", "true", "--conv_seeds", "1",
+            "--iterations", "200", "--conv_d", "128"]
+    _outputs_at_one_and_two_threads(args, tmp_path)
 
 
 def test_sigterm_marks_run_interrupted(tmp_path):
@@ -889,7 +909,7 @@ def test_main_runs_off_the_main_thread(tmp_path, monkeypatch):
 
 
 def test_full_precision_csv_cells():
-    assert cli._cell(0.1) == "0.10000000000000001"
-    assert float(cli._cell(2e-4)) == 2e-4
-    assert cli._cell(3) == "3"
-    assert cli._cell("srgd") == "srgd"
+    assert oracles.csv_cell(0.1) == "0.10000000000000001"
+    assert float(oracles.csv_cell(2e-4)) == 2e-4
+    assert oracles.csv_cell(3) == "3"
+    assert oracles.csv_cell("srgd") == "srgd"

@@ -180,13 +180,21 @@ def test_antisym_in_place_is_a_minus_a_transpose_bitwise(d):
     # through the tile pairs from it (partial tiles at 129, 513, 600 and
     # 1030), with the bits of a - a.T: +-0 (0 - 0 is +0, -0 - 0 is -0),
     # NaN and +-inf (inf - inf is NaN) included, and skew_grad, which
-    # forms S over its own W^T G, agrees
+    # forms S over its own W^T G, agrees.  The same walk out of place,
+    # matrix_expm's check a + a.T and repair a - a.T, gives a fresh
+    # array with the bits of op(a, a.T) and leaves a as it was
     rng = np.random.default_rng(d)
     a = rng.standard_normal((d, d))
     for value, share in ((0.0, 0.05), (-0.0, 0.05), (np.nan, 0.01),
                          (np.inf, 0.01), (-np.inf, 0.01)):
         a[rng.random((d, d)) < share] = value
     a[0, 0], a[-1, -1] = -0.0, np.inf
+    before = a.tobytes()
+    for op in (np.add, np.subtract):
+        out = mf._with_transpose(op, a)
+        assert out is not a and not np.shares_memory(out, a)
+        assert out.tobytes() == op(a, a.T).tobytes(), op
+        assert a.tobytes() == before
     s = a.copy()
     assert mf.antisym(s) is s
     assert s.tobytes() == (a - a.T).tobytes()
@@ -361,7 +369,8 @@ def test_matrix_expm_takes_an_exactly_skew_input_as_given(d, monkeypatch):
     want = mf._expm_skew((x - x.T) / 2.0)
     ops = []
     real = mf._with_transpose
-    monkeypatch.setattr(mf, "_with_transpose", lambda op, m: ops.append(op) or real(op, m))
+    monkeypatch.setattr(mf, "_with_transpose",
+                        lambda op, m, out=None: ops.append(op) or real(op, m, out))
     assert np.array_equal(mf.matrix_expm(x), want)
     assert ops == [np.add]
     near = x.copy()

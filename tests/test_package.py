@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import math
@@ -22,6 +23,41 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_every_src_name_is_read_by_the_program():
+    # a module-level def, class or assignment in src/orthocd that only
+    # the tests read is test code kept in the package; it belongs in
+    # tests/oracles.py.  A read is a Load-context name, an attribute, or
+    # an identifier string (an __all__ entry, a name perfbench looks up
+    # by string) anywhere in src/orthocd or perfbench/*.py
+    root = Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "orthocd").glob("*.py"))
+    assert src
+    reads = set()
+    for path in src + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                reads.add(node.value)
+    unread = []
+    for path in src:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in names
+                       if not name.startswith("__") and name not in reads]
+    assert unread == []
 
 
 def test_readme_quick_start_runs(capsys):
