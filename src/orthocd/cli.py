@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -263,6 +262,17 @@ def _machine_metadata() -> dict:
     }
 
 
+def _write_json(path: Path, obj) -> None:
+    # run_meta.json goes through here, not RunDir.write_json: perfbench
+    # times that method, and a call nested in __init__ would count twice
+    with rnn.open_replacing(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+_CSV_BLOCK_ROWS = 1024  # CSV rows turned into Python values at a time
+_TRACE_HEADER = ["k", "alpha", "loss", "gnormsq", "M_K"]
+
+
 class RunDir:
     """Output directory with status bookkeeping."""
 
@@ -276,38 +286,38 @@ class RunDir:
             "status": "running",
             "started_unix": time.time(),
         }
-        (self.path / "config.ini").write_text(config_to_ini(cfg))
-        self._write_meta()
-
-    def _write_meta(self) -> None:
-        (self.path / "run_meta.json").write_text(
-            json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
+        with rnn.open_replacing(self.path / "config.ini") as fh:
+            fh.write(config_to_ini(cfg))
+        _write_json(self.path / "run_meta.json", self.meta)
 
     def finish(self, status: str, **extra) -> None:
         self.meta.update(extra)
         self.meta["status"] = status
         self.meta["ended_unix"] = time.time()
-        self._write_meta()
+        _write_json(self.path / "run_meta.json", self.meta)
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
-        """One line per row, a tuple of cells.  A column's cells are
-        formatted by its first row's cell, so the file takes one
-        %-format per row: %.17g under a float (np.float64 too, a float
-        subclass), %s, str(v), under anything else."""
-        rows = iter(rows)
-        with open(self.path / name, "w") as fh:
+    def write_csv(self, name: str, header: list[str], columns) -> None:
+        """One line per row of `columns`, equal-length arrays, ranges or
+        tuples.  A column's cells are formatted by its first cell, so the
+        file takes one %-format per row: %.17g under a float (np.float64
+        too, a float subclass), %s, str(v), under anything else.  Rows go
+        out _CSV_BLOCK_ROWS at a time, an array's block as Python values
+        (`tolist`, which format as its entries do and cost no numpy
+        scalar per cell), so no column is ever held whole as a list."""
+        n = len(columns[0])
+        with rnn.open_replacing(self.path / name) as fh:
             fh.write(",".join(header) + "\n")
-            first = next(rows, None)
-            if first is None:
+            if n == 0:
                 return
-            fmt = ",".join("%.17g" if isinstance(v, float) else "%s"
-                           for v in first) + "\n"
-            fh.write(fmt % first)
-            fh.writelines(fmt % row for row in rows)
+            fmt = ",".join("%.17g" if isinstance(c[0], float) else "%s"
+                           for c in columns) + "\n"
+            for i in range(0, n, _CSV_BLOCK_ROWS):
+                block = (c[i:i + _CSV_BLOCK_ROWS] for c in columns)
+                fh.writelines(fmt % row for row in zip(
+                    *(b.tolist() if isinstance(b, np.ndarray) else b for b in block)))
 
     def write_json(self, name: str, obj) -> None:
-        (self.path / name).write_text(
-            json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _write_json(self.path / name, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +387,6 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
                        grad_norm_sq=gnormsq, task=task, wall_s=wall)
 
 
-_TRACE_BLOCK_ROWS = 1024  # trace.csv rows turned into Python floats at a time
-
-
-def _write_trace(rundir: RunDir, alphas: np.ndarray, losses: np.ndarray,
-                 gnormsq: np.ndarray, m_k: np.ndarray) -> None:
-    """trace.csv, one row per iteration.  The columns go out as Python
-    floats (`tolist`), which format as the float64 entries do and cost
-    no numpy scalar per cell, one block of _TRACE_BLOCK_ROWS rows at a
-    time, so a long run never holds whole columns as Python lists."""
-    cols = (alphas, losses, gnormsq, m_k)
-    blocks = (zip(range(i, i + _TRACE_BLOCK_ROWS),
-                  *(c[i:i + _TRACE_BLOCK_ROWS].tolist() for c in cols))
-              for i in range(0, alphas.size, _TRACE_BLOCK_ROWS))
-    rundir.write_csv("trace.csv", ["k", "alpha", "loss", "gnormsq", "M_K"],
-                     itertools.chain.from_iterable(blocks))
-
-
 def _minibatch_partials(params: rnn.RnnParams, task: copytask.CopyTaskConfig,
                         rng: np.random.Generator, mask_mode: str) -> np.ndarray:
     data = copytask.generate_batch(task, rng, mask_mode=mask_mode)
@@ -410,7 +403,9 @@ def cmd_train(cfg: ExperimentConfig, rundir: RunDir) -> None:
     result = run_training(cfg)
     m_k = analysis.convergence_metric(result.alphas, result.grad_norm_sq) \
         if cfg.iterations else np.empty(0)
-    _write_trace(rundir, result.alphas, result.losses, result.grad_norm_sq, m_k)
+    rundir.write_csv("trace.csv", _TRACE_HEADER,
+                     (range(cfg.iterations), result.alphas, result.losses,
+                      result.grad_norm_sq, m_k))
     rnn.save_checkpoint(rundir.path / "checkpoint.bin", result.params,
                         seed=cfg.seed)
     eval_rng = np.random.default_rng([cfg.seed, 3])
@@ -444,14 +439,10 @@ def cmd_sparsity(cfg: ExperimentConfig, rundir: RunDir) -> None:
     for name, v in (("hist_init.csv", v_init), ("hist_final.csv", v_final)):
         hist = analysis.histogram(v, edges)
         rundir.write_csv(name, ["bin_lo", "bin_hi", "count"],
-                         zip(hist.bin_lo, hist.bin_hi, hist.counts))
-    rundir.write_csv(
-        "sparsity.csv",
-        ["iteration", "frac95", "frac99", "norm", "frac95_abs", "frac99_abs"],
-        [(0, prof_init.frac95, prof_init.frac99, prof_init.norm,
-          prof_init.frac95_abs, prof_init.frac99_abs),
-         (cfg.iterations, prof_final.frac95, prof_final.frac99, prof_final.norm,
-          prof_final.frac95_abs, prof_final.frac99_abs)])
+                         (hist.bin_lo, hist.bin_hi, hist.counts))
+    header = ["iteration", "frac95", "frac99", "norm", "frac95_abs", "frac99_abs"]
+    rundir.write_csv("sparsity.csv", header, [(0, cfg.iterations)] + [
+        (getattr(prof_init, f), getattr(prof_final, f)) for f in header[1:]])
     rundir.write_json("summary.json", {
         "frac95_init": prof_init.frac95,
         "frac95_final": prof_final.frac95,
@@ -515,7 +506,9 @@ def cmd_convergence(cfg: ExperimentConfig, rundir: RunDir) -> None:
         seed = cfg.seed + s
         res = run_convergence(cfg, seed)
         if s == 0:
-            _write_trace(rundir, res.alphas, res.losses, res.grad_norm_sq, res.m)
+            rundir.write_csv("trace.csv", _TRACE_HEADER,
+                             (range(cfg.iterations), res.alphas, res.losses,
+                              res.grad_norm_sq, res.m))
         entry = {f"M_{c}": res.m[c - 1] for c in checkpoints}
         entry["final_gnormsq"] = res.grad_norm_sq[-1]
         summary["seeds"][seed] = entry

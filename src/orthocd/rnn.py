@@ -93,6 +93,7 @@ __all__ = [
     "load_checkpoint",
     "logits",
     "loss",
+    "open_replacing",
     "save_checkpoint",
 ]
 
@@ -528,6 +529,25 @@ def init_params(d: int, d_in: int, d_out: int, seed: int = 0) -> RnnParams:
 # checkpoint container
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def open_replacing(path, mode: str = "w"):
+    """Open a temp file beside `path` (`path` + ".tmp") for writing.  On
+    a clean exit it is renamed over `path` (os.replace); on an exception
+    it is removed and `path` keeps its old bytes.  So a run that dies
+    mid-write leaves each artifact whole, old or new.  There is no fsync:
+    a power cut may still lose what was written.  Every file the package
+    writes goes through here."""
+    tmp = os.fsdecode(path) + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, params: RnnParams, seed: int = 0) -> None:
     """Flat binary container; layout documented in the README.
 
@@ -540,7 +560,7 @@ def save_checkpoint(path, params: RnnParams, seed: int = 0) -> None:
     params.check()
     header = _CKPT_MAGIC + struct.pack(
         "<BIIIQ", _CKPT_VERSION, params.d, params.d_in, params.d_out, seed)
-    with open(path, "wb") as fh:
+    with open_replacing(path, "wb") as fh:
         fh.write(header)
         for block in (params.w_in, params.w, params.w_out,
                       params.b_out, params.b_mod):

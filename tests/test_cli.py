@@ -680,7 +680,7 @@ def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
     rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
     rng = np.random.default_rng(35)
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
-    block = cli._TRACE_BLOCK_ROWS
+    block = cli._CSV_BLOCK_ROWS
     for n in (0, 1, block - 1, block, block + 1, 3 * block + 7, 100_003):
         cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
                 for _ in range(4)]
@@ -688,7 +688,7 @@ def test_trace_csv_is_written_in_blocks_of_rows(tmp_path):
             col[:len(special)] = special[:n]
         tracemalloc.start()
         try:
-            cli._write_trace(rundir, *cols)
+            rundir.write_csv("trace.csv", cli._TRACE_HEADER, (range(n), *cols))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -706,11 +706,54 @@ def test_csv_row_format_renders_as_cell(value, tmp_path):
     rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
     rows = [(k, value, -value, np.float64(value), np.int64(k % 2**62), "srcd-gs")
             for k in (0, 7, 10**6, 2**63 + 5)]
-    rundir.write_csv("cells.csv", ["k", "a", "b", "c", "n", "name"], iter(rows))
+    rundir.write_csv("cells.csv", ["k", "a", "b", "c", "n", "name"], list(zip(*rows)))
     want = ["k,a,b,c,n,name"] + [",".join(map(oracles.csv_cell, row)) for row in rows]
     assert (tmp_path / "cells.csv").read_text() == "\n".join(want) + "\n"
-    rundir.write_csv("empty.csv", ["k"], [])
+    rundir.write_csv("empty.csv", ["k"], [()])
     assert (tmp_path / "empty.csv").read_text() == "k\n"
+
+
+class _Unprintable:
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_csv_write_that_fails_partway_leaves_the_old_file(tmp_path):
+    # a CSV goes to a temp file that replaces it only when whole, so a
+    # write that fails after two blocks of rows went out leaves the
+    # previous bytes and no temp file
+    rundir = cli.RunDir("train", cli.parse_config(overrides={"out": str(tmp_path)}))
+    rundir.write_csv("trace.csv", ["k"], [range(3)])
+    old = (tmp_path / "trace.csv").read_bytes()
+    n = 3 * cli._CSV_BLOCK_ROWS
+    with pytest.raises(OSError, match="No space left"):
+        rundir.write_csv("trace.csv", ["k"], [(*range(n - 1), _Unprintable())])
+    assert (tmp_path / "trace.csv").read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_a_checkpoint_write_that_fails_partway_leaves_the_old_file(tmp_path,
+                                                                    monkeypatch):
+    # interrupted after the header and two blocks went out, the previous
+    # checkpoint is still whole and still loads
+    params = rnn.init_params(8, 4, 4, seed=1)
+    path = tmp_path / "checkpoint.bin"
+    rnn.save_checkpoint(path, params, seed=1)
+    old = path.read_bytes()
+    contiguous = np.ascontiguousarray
+
+    def interrupt_at_w_out(a, *args, **kwargs):
+        if a is params.w_out:
+            raise KeyboardInterrupt
+        return contiguous(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", interrupt_at_w_out)
+    with pytest.raises(KeyboardInterrupt):
+        rnn.save_checkpoint(path, params, seed=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert rnn.load_checkpoint(path)[1] == 1
 
 
 def test_main_runs_git_describe_once_per_process(tmp_path, monkeypatch):
@@ -814,8 +857,8 @@ def test_console_entry_point(tmp_path):
 
 def _outputs_at_one_and_two_threads(args, tmp_path):
     """Run `orthocd <args>` in a subprocess at OPENBLAS_NUM_THREADS=1,
-    then 2, check that trace.csv and summary.json agree, and return the
-    two run directories."""
+    then 2, check that every CSV the run writes and summary.json agree,
+    and return the two run directories."""
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
@@ -828,8 +871,11 @@ def _outputs_at_one_and_two_threads(args, tmp_path):
         assert meta["machine"]["openblas_threads"].get("numpy", int(threads)) \
             == int(threads)
         outs.append(out)
-    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
-    # a train summary.json holds the wall time too; every other entry must match
+    csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in outs[1].glob("*.csv"))
+    for name in csvs:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # a summary.json may hold the wall time too; every other entry must match
     first, second = (json.loads((o / "summary.json").read_text()) for o in outs)
     first.pop("wall_time_s", None)
     second.pop("wall_time_s", None)
@@ -837,17 +883,27 @@ def _outputs_at_one_and_two_threads(args, tmp_path):
     return outs
 
 
+# at d=190, ||S||^2 has 36 100 entries, which OpenBLAS's dot splits across
+# two threads; T*B*d^2 is below BPTT_THREADED_MIN_WORK, so BPTT is held
+# at one thread and gnormsq is the one sum at stake
+D190 = ["--preset", "custom", "--d", "190", "--copy_len", "5", "--lag", "10",
+        "--batch", "8", "--iterations", "3", "--optimizer", "srcd-gs"]
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at d=190, ||S||^2 has 36 100 entries, which OpenBLAS's dot splits
-    # across two threads; T*B*d^2 is below BPTT_THREADED_MIN_WORK, so
-    # BPTT is held at one thread and gnormsq is the one sum at stake
-    args = ["train", "--preset", "custom", "--d", "190", "--copy_len", "5",
-            "--lag", "10", "--batch", "8", "--iterations", "3",
-            "--optimizer", "srcd-gs"]
-    outs = _outputs_at_one_and_two_threads(args, tmp_path)
+    outs = _outputs_at_one_and_two_threads(["train", *D190], tmp_path)
     assert (outs[0] / "checkpoint.bin").read_bytes() == \
         (outs[1] / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_sparsity_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the train test's shape: the two probes' BPTT is held as train's is,
+    # so the histograms and profiles of the partials match too
+    outs = _outputs_at_one_and_two_threads(["sparsity", *D190], tmp_path)
+    assert {p.name for p in outs[0].glob("*.csv")} == \
+        {"hist_init.csv", "hist_final.csv", "sparsity.csv"}
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")

@@ -60,6 +60,43 @@ def test_every_src_name_is_read_by_the_program():
     assert unread == []
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A write_text or write_bytes call, or an open whose mode is not a
+    read-only constant: builtin open(file, mode), Path.open(mode)."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    at = 1 if isinstance(call.func, ast.Name) else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[at] if len(call.args) > at else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set("wax+") & set(mode.value))
+
+
+def test_files_are_written_only_through_open_replacing():
+    # every file the package writes goes to a temp file that is renamed
+    # over its target when whole (rnn.open_replacing), so a run that
+    # dies mid-write leaves no half-written artifact.  A write-mode open,
+    # write_text or write_bytes anywhere else writes in place
+    root = Path(__file__).resolve().parents[1]
+    in_place, helper_opens = [], 0
+    for path in sorted((root / "src" / "orthocd").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "open_replacing"
+                  for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                if id(node) in inside:
+                    helper_opens += 1
+                else:
+                    in_place.append(f"{path.name}:{node.lineno}")
+    assert in_place == []
+    assert helper_opens == 1
+
+
 def test_readme_quick_start_runs(capsys):
     # the README's python block runs against the public API as it is
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
