@@ -464,11 +464,18 @@ class ConvergenceResult:
 def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     """SRCD-U on the synthetic quadratic; exact squared gradient norms
     recorded every iteration, noisy gradients fed to the optimizer.
-    One `SyntheticProblem.evaluate` per iteration gives the loss, the
-    squared norm and the gradient from one residual.  The noise comes
-    from `SyntheticProblem.noise` on stream [seed, 5], drawn for a
-    block of iterations per call, the same numbers in the same order
-    as one `grads(rng=...)` call per iteration.
+    The run goes in blocks of `problem.block_rows` iterations, one
+    block per noise draw (`SyntheticProblem.noise` on stream [seed, 5],
+    the same numbers in the same order as one `grads(rng=...)` call
+    per iteration).  Each iteration forms only what its step reads
+    (`SyntheticProblem.oracle`, into the block's rows) and keeps a copy
+    of W; at the block's last iteration, before its step,
+    `SyntheticProblem.diagnostics` gives the block's losses and squared
+    norms, bitwise those of one evaluation per iteration.  The block
+    holds W, R and G of its iterations, never all n: about 0.4 MB at
+    conv_d=16.  A block of one (conv_d >= 128 with a 4 x 4 X) reads W
+    itself, with no copy.  A non-finite gradient still raises at its
+    own iteration, before its step.
 
     The run holds numpy's BLAS pool at one thread (`blas.held_threads`),
     so its outputs do not depend on the thread count (unheld, conv_d=128
@@ -486,9 +493,20 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
         alphas = np.empty(n)
         gsq = np.empty(n)
         losses = np.empty(n)
-        x = state.x["x"]
+        x, w = state.x["x"], state.w
+        rows = min(problem.block_rows, n)
+        r_blk, g_blk = np.empty((2, rows, *w.shape))
+        x_blk = np.empty((rows, *x.shape))
+        # W at each iteration of the block; a block of one reads W itself
+        w_blk = np.empty((rows, *w.shape)) if rows > 1 else w[None]
         for k, noise in enumerate(problem.noise(n, noise_rng)):
-            losses[k], gsq[k], grads = problem.evaluate(x, state.w, noise)
+            j = k % rows
+            if rows > 1:
+                w_blk[j] = w
+            grads = problem.oracle(x, w, noise, r_blk[j], g_blk[j], x_blk[j])
+            if j == rows - 1 or k == n - 1:  # before the step moves W
+                losses[k - j:k + 1], gsq[k - j:k + 1] = problem.diagnostics(
+                    w_blk[:j + 1], r_blk[:j + 1], g_blk[:j + 1], x_blk[:j + 1])
             alphas[k] = float(optim.step(state, grads))
         m = analysis.convergence_metric(alphas, gsq)
     return ConvergenceResult(alphas=alphas, grad_norm_sq=gsq, losses=losses, m=m)

@@ -86,10 +86,13 @@ def orthogonality_defect(w: np.ndarray) -> float:
     return float(np.linalg.norm(gram))
 
 
-def _check_square(w: np.ndarray) -> np.ndarray:
+def _check_square(w: np.ndarray, stack: bool = False) -> np.ndarray:
+    """w as float64: one square matrix, or with stack=True also a stack
+    of them along one leading axis."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    if w.ndim != 2 and not (stack and w.ndim == 3) or w.shape[-1] != w.shape[-2]:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ValueError(f"expected {what}, got shape {w.shape}")
     return w
 
 
@@ -172,11 +175,15 @@ def _with_transpose(op: np.ufunc, a: np.ndarray,
     than its cache reuse saves (over a: 0.6 against 6.3 us at d=16, 3.6
     against 9.5 us at d=64, 364 against 544 us at d=511; greedy steps
     handed G read it at d=16 and 64), so it is one call, over a against
-    a contiguous copy of a.T.
+    a contiguous copy of a.T.  A stack of matrices (one leading axis)
+    takes that one call at every width, each matrix against its own
+    transpose; the convergence harness stacks only below d = 128, and
+    hands a wider W one at a time.
     """
-    d = a.shape[0]
-    if d < SKEW_BLOCKED_MIN_D:
-        return op(a, a.T.copy() if out is a else a.T, out=out)
+    d = a.shape[-1]
+    if a.ndim > 2 or d < SKEW_BLOCKED_MIN_D:
+        at = a.T if a.ndim == 2 else a.swapaxes(1, 2)  # .T: half swapaxes' cost
+        return op(a, at.copy() if out is a else at, out=out)
     if out is None:
         out = np.empty_like(a)
     buf = np.empty((_TILE, _TILE))
@@ -195,7 +202,8 @@ def antisym(a: np.ndarray) -> np.ndarray:
     """S = a - a.T written over a and returned, bitwise, in O(d^2): S
     from A = W^T G, when a caller (BPTT, see `rnn.Grads`) has A
     without forming the product.  a must be the caller's own; it is S
-    afterwards, so the caller holds one d x d array, not two.
+    afterwards, so the caller holds one d x d array, not two.  A stack
+    of matrices (one leading axis) gives the stack of their S.
     """
     return _with_transpose(np.subtract, a, out=a)
 
@@ -210,27 +218,33 @@ def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     Given A itself, antisym(A) is the same S without the product.
     S is formed over the product the call owns, so it holds one d x d
     array.
+
+    W and G may be stacks of m matrices along one leading axis, of the
+    same length; S is then the stack of the m products' S, each bitwise
+    the S of its own pair (numpy takes one BLAS product per matrix).
     """
-    w = _check_square(w)
+    w = _check_square(w, stack=True)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, G is {g.shape}")
-    return antisym(w.T @ g)
+    return antisym((w.T if w.ndim == 2 else w.swapaxes(1, 2)) @ g)
 
 
 def skew_partials(s: np.ndarray) -> np.ndarray:
     """All D partials from S = skew_grad(W, G), coordinate i at
     position i-1: the row-major upper triangle of S/sqrt(2), which
     matches the coord_index enumeration.  The triangle is gathered by
-    one cached flat index, `s.ravel().take(flat)`: the entries a
-    (rows, cols) pair picks, in 40% of its time at d=16 on 2 vCPUs
-    (0.9-1.0 against 2.5-2.7 us)."""
-    return s.ravel().take(_triu_flat(s.shape[0])) / _SQRT2
+    one cached flat index, `take(flat)` on the flattened S: the entries
+    a (rows, cols) pair picks, in 40% of its time at d=16 on 2 vCPUs
+    (0.9-1.0 against 2.5-2.7 us).  A stack of m S (one leading axis)
+    gives an m x D array, C-contiguous, row k the partials of S[k]."""
+    return s.reshape(*s.shape[:-2], -1).take(_triu_flat(s.shape[-1]), axis=-1) / _SQRT2
 
 
 def all_partials(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """All D Riemannian partial derivatives as a vector, coordinate i at
     position i-1: skew_partials(skew_grad(W, G)), about 2d^3 + d^2.
+    Stacks of m W and m G give the m x D array of their partials.
     """
     return skew_partials(skew_grad(w, g))
 

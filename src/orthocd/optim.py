@@ -33,15 +33,18 @@ srgd_step or srcd_step by its rule, reading both names at call time.
 `sgd` is not in the table: its W leaves O(d), so it never trains;
 `analysis.bench_update` times it as a baseline, and it needs G.
 
-SyntheticProblem is the convergence harness's quadratic.  Its
-`evaluate` forms the residuals once and returns the loss, the exact
-squared gradient norm and the gradient the step is handed, so the
-harness pays one objective evaluation per iteration; `loss`,
-`grad_norm_sq` and `grads` give the same values one at a time.  The
-oracle noise is drawn for a block of iterations at once (`noise`,
-one `normal` call per NOISE_BLOCK_BYTES), from the same stream and in
-the same order as one `grads(rng=...)` call per iteration draws it,
-and `evaluate` adds one iteration's pair.
+SyntheticProblem is the convergence harness's quadratic.  The harness
+runs in blocks of `block_rows` iterations, one block per noise draw
+(`noise`, one `normal` call per NOISE_BLOCK_BYTES, from the same
+stream and in the same order as one `grads(rng=...)` call per
+iteration draws it).  Each iteration forms only what the step reads
+(`oracle`: the residual, G and X - C, written into the block's rows,
+plus that iteration's noise); once per block, `diagnostics` gives the
+block's losses and exact squared gradient norms from stacked calls,
+one `manifold.all_partials` for the whole block.  `evaluate` is the
+block of one; `loss`, `grad_norm_sq` and `grads` give the same values
+one at a time, and are the reference the block arithmetic is tested
+against.
 
 States mutate their parameter arrays in place and are single-owner;
 a step returns the alpha it took.  Making a GradPack raises
@@ -458,6 +461,21 @@ def step(state: OptimizerState, grads: GradPack) -> float:
 # synthetic problem for the convergence harness
 # ---------------------------------------------------------------------------
 
+def _row_dots(f: np.ndarray) -> np.ndarray:
+    """f_k . f_k of each row of a C-contiguous m x n f, by the BLAS dot
+    that f_k.dot(f_k) takes: a stack of 1 x n by n x 1 products (einsum
+    sums in another order)."""
+    return (f[:, None, :] @ f[:, :, None]).reshape(-1)
+
+
+def _sq_norms(f: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(f_k) ** 2 of each row of f, bitwise: the square
+    root of the row's dot, raised to 2 by libm's pow, as a numpy scalar's
+    ** 2 is.  An array's ** 2 is x * x, and pow is not always the
+    rounded square."""
+    return np.float_power(np.sqrt(_row_dots(f)), 2.0)
+
+
 @dataclass
 class SyntheticProblem:
     """f(X, W) = 0.5*||W A - B||_F^2 + 0.5*||X - C||_F^2 with B = Q A
@@ -471,11 +489,11 @@ class SyntheticProblem:
     so the standard stochastic-approximation assumptions hold by
     construction (unbiased, bounded second moment).
 
-    The convergence harness calls `evaluate` once per iteration, which
-    forms W A - B, X - C and G = (W A - B) A^T a single time, and takes
-    each iteration's noise from `noise`, which draws it in blocks of
-    iterations; `grads(rng=...)` draws one iteration's noise per call
-    and is the reference the block draws are tested against.
+    The convergence harness calls `oracle` each iteration and
+    `diagnostics` once per block of `block_rows` iterations (see the
+    module docstring); `loss`, `grad_norm_sq` and `grads(rng=...)`
+    give the same values one at a time, the reference the block
+    arithmetic is tested against.
     """
 
     a: np.ndarray
@@ -502,6 +520,13 @@ class SyntheticProblem:
     @property
     def d(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def block_rows(self) -> int:
+        """Iterations per noise draw and per block of `diagnostics`:
+        NOISE_BLOCK_BYTES of (e_W, e_X) rows, at least one (60 at d=16
+        with a 4 x 4 X, one from d=128 up)."""
+        return max(1, NOISE_BLOCK_BYTES // (8 * (self.a.size + self.c.size)))
 
     def init(self, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(seed)
@@ -535,54 +560,78 @@ class SyntheticProblem:
 
     def noise(self, n: int, rng: np.random.Generator | None
               ) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
-        """The oracle noise of n iterations for `evaluate`, one
+        """The oracle noise of n iterations for `oracle`, one
         (e_W, e_X) pair per iteration, or None each when `grads` would
         add none (no rng, or noise_std not > 0), with no draw.
 
         Row k of a draw is iteration k's W block, then its X block: the
         numbers n calls of `grads(rng=rng)` draw, in the same order,
         and the rng ends where those calls leave it.  One
-        `rng.normal(0, noise_std, (m, d^2 + X.size))` call draws m rows,
-        NOISE_BLOCK_BYTES of them but at least one (60 at d=16 with a
-        4 x 4 X, one from d=128 up), and no draw runs past iteration n.
-        Each pair is a view of its row of the draw.
+        `rng.normal(0, noise_std, (m, d^2 + X.size))` call draws m =
+        `block_rows` rows, and no draw runs past iteration n.  Each
+        pair is a view of its row of the draw, which `oracle` adds the
+        gradient into.
         """
         if rng is None or not self.noise_std > 0.0:
             yield from itertools.repeat(None, n)
             return
         d2, width = self.a.size, self.a.size + self.c.size
-        rows = max(1, NOISE_BLOCK_BYTES // (8 * width))
+        rows = self.block_rows
         for k0 in range(0, n, rows):
             block = rng.normal(0.0, self.noise_std, (min(rows, n - k0), width))
             yield from zip(block[:, :d2].reshape(-1, *self.a.shape),
                            block[:, d2:].reshape(-1, *self.c.shape))
 
+    def oracle(self, x: np.ndarray, w: np.ndarray,
+               noise: tuple[np.ndarray, np.ndarray] | None,
+               r: np.ndarray, g: np.ndarray, g_x: np.ndarray) -> GradPack:
+        """The bundle a step is handed at (x, w), bitwise `grads(rng=...)`
+        at the same draws.  R = W A - B, G = R A^T and X - C are written
+        into the caller's r, g and g_x, the exact values `diagnostics`
+        reads.  `noise` is one pair from `noise`, (e_W, e_X), which the
+        call takes over: G and X - C are added into it, with no fresh
+        array (e + G is G + e, bitwise), and the bundle holds it;
+        without noise the bundle holds g and g_x themselves.
+        Making the bundle checks this iteration's gradient, so a
+        non-finite one raises NumericError here, at its iteration.
+        """
+        np.matmul(w, self.a, out=r)
+        r -= self.b
+        np.matmul(r, self.a.T, out=g)
+        np.subtract(x, self.c, out=g_x)
+        if noise is not None:
+            e_w, e_x = noise
+            e_w += g
+            e_x += g_x
+            g, g_x = e_w, e_x
+        return GradPack(w=g, x={"x": g_x})
+
+    def diagnostics(self, w: np.ndarray, r: np.ndarray, g: np.ndarray,
+                    g_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(losses, grad_norm_sqs) of a block of m points, from stacks
+        (one leading axis of m) of W and of the R, G and X - C that
+        `oracle` wrote at each: bitwise `loss` and `grad_norm_sq` point
+        by point.  The W part of the norm is one stacked
+        `manifold.all_partials`, a block of one in 2-D, so a wide W
+        keeps its tile walk; each squared norm is that of
+        np.linalg.norm (see _sq_norms)."""
+        m = len(w)
+        x_sq = _sq_norms(g_x.reshape(m, -1))
+        v = (manifold.all_partials(w, g) if m > 1
+             else manifold.all_partials(w[0], g[0])).reshape(m, -1)
+        return 0.5 * (_sq_norms(r.reshape(m, -1)) + x_sq), x_sq + _row_dots(v)
+
     def evaluate(self, x: np.ndarray, w: np.ndarray,
                  noise: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[float, float, GradPack]:
-        """(loss, grad_norm_sq, grads) at (x, w), bitwise those methods'
-        values, from one W A - B, X - C and G; `noise` is one pair from
-        `noise`, (e_W, e_X), added to G and g_X, so grads is then
-        bitwise `grads(rng=...)` at the same draws.
-
-        W A - B is formed in place, and each squared norm is
-        np.sqrt(f.dot(f)) ** 2 on the flattened array, the arithmetic
-        of np.linalg.norm(f) ** 2 without its call."""
-        r_w = w @ self.a
-        r_w -= self.b
-        g_w = r_w @ self.a.T
-        g_x = x - self.c
-        f = g_x.ravel("K")
-        x_sq = np.sqrt(f.dot(f)) ** 2
-        v = manifold.all_partials(w, g_w)
-        f = r_w.ravel("K")
-        loss = 0.5 * float(np.sqrt(f.dot(f)) ** 2 + x_sq)
-        gnormsq = float(x_sq + v @ v)
-        if noise is not None:
-            e_w, e_x = noise
-            g_w += e_w
-            g_x += e_x
-        return loss, gnormsq, GradPack(w=g_w, x={"x": g_x})
+        """(loss, grad_norm_sq, grads) at (x, w): `oracle` and
+        `diagnostics` on a block of one, so bitwise those three
+        methods' values."""
+        r, g = np.empty((2, 1, *self.a.shape))
+        g_x = np.empty((1, *self.c.shape))
+        grads = self.oracle(x, w, noise, r[0], g[0], g_x[0])
+        (loss,), (gnormsq,) = self.diagnostics(w[None], r, g, g_x)
+        return float(loss), float(gnormsq), grads
 
     def state(self, schedule: StepSchedule,
               rule: SelectionRule | None = None,

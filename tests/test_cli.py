@@ -601,16 +601,21 @@ def _overrides(args):
 
 
 # with a 4 x 4 X the noise of 315, 252 and 60 iterations is drawn per
-# call at d = 6, 7 and 16, so 317 iterations end in a partial draw
+# call at d = 6, 7 and 16, so 317 iterations end in a partial draw and
+# a partial block of diagnostics; at d = 128 each block is one row
 @pytest.mark.parametrize("noise_std, conv_d", [("0.1", "6"), ("0", "6"),
                                                ("0.1", "7"), ("0.1", "16"),
-                                               ("0", "16")])
+                                               ("0", "16"), ("0.1", "128"),
+                                               ("0", "128")])
 def test_run_convergence_matches_the_three_call_loop(noise_std, conv_d):
     cfg = cli.parse_config(overrides={**_overrides(CONV[1:]), "conv_d": conv_d,
                                       "noise_std": noise_std, "seed": "2",
                                       "iterations": "317"})
     got = cli.run_convergence(cfg, seed=3)
-    want = oracles.run_convergence_three_calls(cfg, 3)
+    # at one BLAS thread, as run_convergence holds it: at d = 128 the
+    # loss's 16384-entry dot is split across threads otherwise
+    with blas.held_threads():
+        want = oracles.run_convergence_three_calls(cfg, 3)
     for name, ref in zip(("alphas", "grad_norm_sq", "losses", "m"), want):
         assert getattr(got, name).tobytes() == ref.tobytes(), name
 
@@ -655,6 +660,64 @@ def test_run_convergence_draws_its_noise_in_blocks(noise_std, monkeypatch):
     for _ in range(n):
         problem.grads(x, w, rng=rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_a_non_finite_gradient_stops_the_run_at_its_own_iteration(tmp_path, monkeypatch):
+    # the diagnostics wait for the end of a block, the gradient's
+    # finiteness check does not: NaN noise at iteration 37, inside the
+    # first 60-row block, raises there, and no later step runs
+    real_noise, real_step = optim.SyntheticProblem.noise, optim.srcd_step
+
+    def noise(self, n, rng):
+        for k, pair in enumerate(real_noise(self, n, rng)):
+            if k == 37:
+                e_w = pair[0].copy()
+                e_w[3, 5] = np.nan
+                pair = (e_w, pair[1])
+            yield pair
+
+    steps = []
+    monkeypatch.setattr(optim.SyntheticProblem, "noise", noise)
+    monkeypatch.setattr(optim, "srcd_step",
+                        lambda state, grads: steps.append(state.k) or real_step(state, grads))
+    args = [*CONV, "--conv_d", "16", "--noise_std", "0.1"]
+    cfg = cli.parse_config(overrides=_overrides(args[1:]))
+    assert optim.SyntheticProblem.make(16, (4, 4)).block_rows == 60
+    with pytest.raises(optim.NumericError):
+        cli.run_convergence(cfg, seed=3)
+    assert steps == list(range(37))
+    out = tmp_path / "c"
+    assert run_main([*args, "--out", str(out)], tmp_path, monkeypatch) == 2
+    assert json.loads((out / "run_meta.json").read_text())["status"] == "failed"
+    assert not (out / "trace.csv").exists()
+
+
+def test_run_convergence_holds_one_block():
+    # the W, R and G copies are one block of 60 rows at conv_d = 16,
+    # never n rows: a 6000-iteration run peaks above a 600-iteration
+    # one by no more than its n-long arrays grow (the three loop
+    # columns, and convergence_metric's work, traced alone) plus 64 kB;
+    # n rows of W alone would add 11 MB
+    def peak(fn):
+        fn()  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def run(n):
+        cfg = cli.parse_config(overrides={**_overrides(CONV[1:]), "conv_d": "16",
+                                          "iterations": str(n)})
+        return peak(lambda: cli.run_convergence(cfg, seed=3))
+
+    def metric(n):
+        ones = np.ones(n)
+        return peak(lambda: analysis.convergence_metric(ones, ones))
+
+    grown = 3 * 8 * (6000 - 600) + metric(6000) - metric(600)
+    assert run(6000) - run(600) <= grown + (1 << 16)
 
 
 def test_trace_csv_is_the_per_cell_format(tmp_path, monkeypatch):

@@ -203,6 +203,37 @@ def test_antisym_in_place_is_a_minus_a_transpose_bitwise(d):
     assert mf.skew_grad(w, g).tobytes() == mf.antisym(w.T @ g).tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 7, 16, 129, 513])
+def test_stacked_skew_grad_is_each_pair_and_refuses_what_it_refused(d):
+    # W and G stacked along one leading axis: skew_grad and all_partials
+    # give each pair's own S and partials, bitwise (from d = 512 too,
+    # where a stack takes one call and a single matrix the tile walk).
+    # Every input the 2-D shape checks refused is still refused, and so
+    # are a stack against one matrix, stacks of different lengths and a
+    # second stack axis; the other checked entries still refuse a stack
+    rng = np.random.default_rng(d)
+    m = 3
+    ws = np.stack([random_w(d, seed=k) for k in range(m)])
+    gs = rng.standard_normal((m, d, d))
+    s = mf.skew_grad(ws, gs)
+    v = mf.all_partials(ws, gs)
+    assert v.shape == (m, mf.num_coords(d)) and v.flags.c_contiguous
+    for k in range(m):
+        assert s[k].tobytes() == mf.skew_grad(ws[k], gs[k]).tobytes()
+        assert v[k].tobytes() == mf.all_partials(ws[k], gs[k]).tobytes()
+    w, g = ws[0], gs[0]
+    for bad_w, bad_g in ((np.zeros(d), np.zeros(d)),
+                         (np.zeros((d, d + 1)), np.zeros((d, d + 1))),
+                         (w, g[:, :-1]), (w[:, :-1], g[:, :-1]),
+                         (ws, g), (w, gs), (ws, gs[:-1]),
+                         (ws[:, :, :-1], gs[:, :, :-1]), (ws[None], gs[None])):
+        for fn in (mf.skew_grad, mf.all_partials):
+            with pytest.raises(ValueError, match="got shape|shape mismatch"):
+                fn(bad_w, bad_g)
+    with pytest.raises(ValueError, match="got shape"):
+        mf.orthogonality_defect(ws)
+
+
 def test_parseval_norm_identity():
     rng = np.random.default_rng(12)
     d = 60

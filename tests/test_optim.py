@@ -892,6 +892,35 @@ def test_synthetic_evaluate_is_the_three_methods_bitwise(noise_std):
     assert rng_a.random() == rng_b.random()  # as many draws taken
     assert np.array_equal(x, x_in) and np.array_equal(w, w_in)
 
+    # a block of 256 random points: `oracle` into the block's rows, then
+    # one `diagnostics`, bitwise the per-point methods.  On numpy 2.4.6
+    # an array's ** 2 (x * x), np.power(., 2.0), np.einsum, and a dot
+    # over a gather that is not C-contiguous each missed some of these
+    # bits (the squares about once in 1000 values, so 256 points); libm's
+    # pow and the stacked BLAS dots on C-contiguous rows do not
+    m = 256
+    for d in (7, 16):
+        prob = optim.SyntheticProblem.make(d, (3, 3), noise_std=noise_std, seed=d)
+        rng = np.random.default_rng(34 + d)
+        ws = np.stack([mf.random_orthogonal(d, rng) for _ in range(m)])
+        xs = 3.0 * rng.standard_normal((m, 3, 3))
+        r, g = np.empty((2, m, d, d))
+        g_x = np.empty((m, 3, 3))
+        rng_a, rng_b = np.random.default_rng(35), np.random.default_rng(35)
+        for k, noise in enumerate(prob.noise(m, rng_a)):
+            got = prob.oracle(xs[k], ws[k], noise, r[k], g[k], g_x[k])
+            want = prob.grads(xs[k], ws[k], rng=rng_b)
+            assert got.w.tobytes() == want.w.tobytes()
+            assert got.x["x"].tobytes() == want.x["x"].tobytes()
+        losses, gnormsqs = prob.diagnostics(ws, r, g, g_x)
+        assert losses.tolist() == [prob.loss(xs[k], ws[k]) for k in range(m)]
+        assert gnormsqs.tolist() == [prob.grad_norm_sq(xs[k], ws[k]) for k in range(m)]
+        # a partial block, and a block of one, which goes in 2-D
+        for n in (m - 1, 1):
+            part = prob.diagnostics(ws[:n], r[:n], g[:n], g_x[:n])
+            assert part[0].tobytes() == losses[:n].tobytes()
+            assert part[1].tobytes() == gnormsqs[:n].tobytes()
+
 
 def test_synthetic_state_wiring():
     prob = optim.SyntheticProblem.make(8, (3, 3), seed=29)

@@ -212,6 +212,8 @@ def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
         cli.run_training(cli.parse_config(None, {**tiny, "optimizer": name}))
         assert step_calls() == ["srgd_step" if kind is None else "srcd_step"] * 3
     cli.run_convergence(cli.parse_config(None, {"conv_d": 4, "x_dim": 2, "iterations": 3}), 0)
+    # the harness's partials too: one all_partials for its one block
+    assert calls.count("all_partials") == 1
     assert step_calls() == ["srcd_step"] * 3
     for phase in ("update", "backward_update"):
         for name, want in (("srcd-gs", "srcd_step"), ("srgd", "srgd_step")):
