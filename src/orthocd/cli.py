@@ -473,9 +473,9 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
     `SyntheticProblem.diagnostics` gives the block's losses and squared
     norms, bitwise those of one evaluation per iteration.  The block
     holds W, R and G of its iterations, never all n: about 0.4 MB at
-    conv_d=16.  A block of one (conv_d >= 128 with a 4 x 4 X) reads W
-    itself, with no copy.  A non-finite gradient still raises at its
-    own iteration, before its step.
+    conv_d=16; from conv_d=128 with a 4 x 4 X a block is one row.  A
+    non-finite gradient still raises at its own iteration, before its
+    step.
 
     The run holds numpy's BLAS pool at one thread (`blas.held_threads`),
     so its outputs do not depend on the thread count (unheld, conv_d=128
@@ -497,12 +497,10 @@ def run_convergence(cfg: ExperimentConfig, seed: int) -> ConvergenceResult:
         rows = min(problem.block_rows, n)
         r_blk, g_blk = np.empty((2, rows, *w.shape))
         x_blk = np.empty((rows, *x.shape))
-        # W at each iteration of the block; a block of one reads W itself
-        w_blk = np.empty((rows, *w.shape)) if rows > 1 else w[None]
+        w_blk = np.empty((rows, *w.shape))  # W at each iteration of the block
         for k, noise in enumerate(problem.noise(n, noise_rng)):
             j = k % rows
-            if rows > 1:
-                w_blk[j] = w
+            w_blk[j] = w
             grads = problem.oracle(x, w, noise, r_blk[j], g_blk[j], x_blk[j])
             if j == rows - 1 or k == n - 1:  # before the step moves W
                 losses[k - j:k + 1], gsq[k - j:k + 1] = problem.diagnostics(

@@ -182,7 +182,7 @@ def _with_transpose(op: np.ufunc, a: np.ndarray,
     """
     d = a.shape[-1]
     if a.ndim > 2 or d < SKEW_BLOCKED_MIN_D:
-        at = a.T if a.ndim == 2 else a.swapaxes(1, 2)  # .T: half swapaxes' cost
+        at = a.swapaxes(-1, -2)
         return op(a, at.copy() if out is a else at, out=out)
     if out is None:
         out = np.empty_like(a)
@@ -227,7 +227,7 @@ def skew_grad(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:
         raise ValueError(f"shape mismatch: W is {w.shape}, G is {g.shape}")
-    return antisym((w.T if w.ndim == 2 else w.swapaxes(1, 2)) @ g)
+    return antisym(w.swapaxes(-1, -2) @ g)
 
 
 def skew_partials(s: np.ndarray) -> np.ndarray:

@@ -41,10 +41,9 @@ iteration draws it).  Each iteration forms only what the step reads
 (`oracle`: the residual, G and X - C, written into the block's rows,
 plus that iteration's noise); once per block, `diagnostics` gives the
 block's losses and exact squared gradient norms from stacked calls,
-one `manifold.all_partials` for the whole block.  `evaluate` is the
-block of one; `loss`, `grad_norm_sq` and `grads` give the same values
-one at a time, and are the reference the block arithmetic is tested
-against.
+one `manifold.all_partials` for the whole block.  `loss`,
+`grad_norm_sq` and `grads` give the same values one point at a time,
+and are the reference the block arithmetic is tested against.
 
 States mutate their parameter arrays in place and are single-owner;
 a step returns the alpha it took.  Making a GradPack raises
@@ -620,18 +619,6 @@ class SyntheticProblem:
         v = (manifold.all_partials(w, g) if m > 1
              else manifold.all_partials(w[0], g[0])).reshape(m, -1)
         return 0.5 * (_sq_norms(r.reshape(m, -1)) + x_sq), x_sq + _row_dots(v)
-
-    def evaluate(self, x: np.ndarray, w: np.ndarray,
-                 noise: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[float, float, GradPack]:
-        """(loss, grad_norm_sq, grads) at (x, w): `oracle` and
-        `diagnostics` on a block of one, so bitwise those three
-        methods' values."""
-        r, g = np.empty((2, 1, *self.a.shape))
-        g_x = np.empty((1, *self.c.shape))
-        grads = self.oracle(x, w, noise, r[0], g[0], g_x[0])
-        (loss,), (gnormsq,) = self.diagnostics(w[None], r, g, g_x)
-        return float(loss), float(gnormsq), grads
 
     def state(self, schedule: StepSchedule,
               rule: SelectionRule | None = None,

@@ -876,7 +876,15 @@ def test_synthetic_evaluate_is_the_three_methods_bitwise(noise_std):
     prob = optim.SyntheticProblem.make(7, (3, 3), noise_std=noise_std, seed=31)
     x, w = prob.init(seed=32)
     x_in, w_in = x.copy(), w.copy()
-    loss, gnormsq, grads = prob.evaluate(x, w)
+
+    def block_of_one(noise=None):  # `oracle`, then `diagnostics` on its row
+        r, g = np.empty((2, 1, 7, 7))
+        g_x = np.empty((1, 3, 3))
+        grads = prob.oracle(x, w, noise, r[0], g[0], g_x[0])
+        (loss,), (gnormsq,) = prob.diagnostics(w[None], r, g, g_x)
+        return loss, gnormsq, grads
+
+    loss, gnormsq, grads = block_of_one()
     assert loss == prob.loss(x, w)
     assert gnormsq == prob.grad_norm_sq(x, w)
     want = prob.grads(x, w)
@@ -884,7 +892,7 @@ def test_synthetic_evaluate_is_the_three_methods_bitwise(noise_std):
     assert grads.x["x"].tobytes() == want.x["x"].tobytes()
     # with noise from the helper: the same draws, W block first, then X
     rng_a, rng_b = np.random.default_rng(33), np.random.default_rng(33)
-    loss_n, gnormsq_n, noisy = prob.evaluate(x, w, next(prob.noise(1, rng_a)))
+    loss_n, gnormsq_n, noisy = block_of_one(next(prob.noise(1, rng_a)))
     want = prob.grads(x, w, rng=rng_b)
     assert (loss_n, gnormsq_n) == (loss, gnormsq)
     assert noisy.w.tobytes() == want.w.tobytes()

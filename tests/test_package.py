@@ -8,6 +8,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthocd
@@ -184,7 +185,10 @@ def test_benchmark_layers_are_reached_through_module_attributes(monkeypatch):
         spy(manifold, name)
     problem = optim.SyntheticProblem.make(8, (2, 2), seed=0)
     x, w = problem.init(0)
-    _, _, grads = problem.evaluate(x, w)
+    r, g = np.empty((2, 1, 8, 8))
+    g_x = np.empty((1, 2, 2))
+    grads = problem.oracle(x, w, None, r[0], g[0], g_x[0])
+    problem.diagnostics(w[None], r, g, g_x)
     assert grads.skew is None  # a G bundle, as the probes hand
     assert calls == ["all_partials"]
     schedule = optim.StepSchedule("fixed", 1e-2)
